@@ -1,29 +1,40 @@
 package bench
 
 import (
-	"errors"
+	"fmt"
 	"strconv"
 
 	"a1"
 	"a1/internal/workload"
 )
 
+// mapAccumulate is the frozen groupcard rows (cfg 0 and cfg 3) of the
+// retired map-accumulate coordinator, which merged every group into one
+// map before paging: unordered it held all 3000 groups; ordered under the
+// small MaxWorkingSet it fast-failed with ErrWorkingSet (completed 0).
+// Measured by this report at commit 47d3ebd.
+var mapAccumulate = map[frozenShape][2][]float64{
+	{10, 3}: {{0, 3000, 0, 121.9052734375, 0, 0, 1}, {3, 0, 0, 0, 0, 0, 0}},
+	{32, 4}: {{0, 3000, 0, 131.064453125, 0, 0, 1}, {3, 0, 0, 0, 0, 0, 0}},
+}
+
 // GroupCard measures high-cardinality grouped aggregation on the Zipf
 // workload grouped by `score` (unique per vertex, so every vertex is its
-// own group). It contrasts the pre-change coordinator behavior — merge
-// every group into one map before paging — with the streaming merge:
+// own group). It contrasts the streaming merge with the retired
+// map-accumulate coordinator — merge every group into one map before
+// paging — whose rows are frozen baselines (mapAccumulate):
 //
-//	cfg 0  map-accumulate (Config.NoGroupStreaming), unordered
+//	cfg 0  map-accumulate, unordered (frozen)
 //	cfg 1  streaming merge, unordered
 //	cfg 2  streaming merge + `_having` pushdown (workers prove failures)
-//	cfg 3  map-accumulate, aggregate `_orderby`, small MaxWorkingSet
+//	cfg 3  map-accumulate, aggregate `_orderby`, small MaxWorkingSet (frozen)
 //	cfg 4  streaming merge,  aggregate `_orderby`, small MaxWorkingSet
 //
 // peak_groups is Stats.PeakGroups — the most group entries resident at
 // the coordinator at once. Streaming holds O(page + machines·GroupChunk)
 // instead of O(total groups); `_having` pushdown cuts GroupsShipped and
 // BytesShipped before the fabric; and cfg 3 vs 4 shows the ordered form
-// completing via objectstore spill runs where the map path fast-fails
+// completing via objectstore spill runs where the map path fast-failed
 // past MaxWorkingSet.
 func GroupCard(spec Spec) (*Report, error) {
 	vertices, edges := 3000, 9000
@@ -46,21 +57,29 @@ func GroupCard(spec Spec) (*Report, error) {
 	ordered := `{"_type": "node", "_groupby": "score", "_select": ["_sum(score)"], "_orderby": "-_sum(score)"}`
 
 	type cfg struct {
-		doc      string
-		noStream bool
-		maxWS    int // 0 = default
+		id    int
+		doc   string
+		maxWS int // 0 = default
 	}
 	cfgs := []cfg{
-		{unordered, true, 0},
-		{unordered, false, 0},
-		{having, false, 0},
-		{ordered, true, smallWS},
-		{ordered, false, smallWS},
+		{1, unordered, 0},
+		{2, having, 0},
+		{4, ordered, smallWS},
 	}
+	frozen, ok := mapAccumulate[frozenShapeOf(spec)]
+	if ok {
+		r.Add(frozen[0]...)
+	} else {
+		r.Note("no frozen map-accumulate rows (cfg 0, 3) for this run shape: they were recorded at test scale, seed 1, on 10 machines/3 racks and 32 machines/4 racks")
+	}
+	live := map[int][]float64{} // cfg id -> its row
 
-	for ci, cf := range cfgs {
+	for _, cf := range cfgs {
+		if ok && cf.id == 4 {
+			r.Add(frozen[1]...)
+			r.Note("ordered + MaxWorkingSet=%d: map-accumulate fast-failed (ErrWorkingSet) at %d groups", smallWS, vertices)
+		}
 		qcfg := spec.QueryCfg
-		qcfg.NoGroupStreaming = cf.noStream
 		qcfg.GroupChunk = 64
 		qcfg.PageSize = 100
 		if cf.maxWS > 0 {
@@ -98,7 +117,6 @@ func GroupCard(spec Spec) (*Report, error) {
 
 		var groups int
 		var peak, shipped, bytes, filtered, spills int64
-		completed := 1.0
 		var execErr error
 		db.Run(func(c *a1.Ctx) {
 			res, err := db.Query(c, g, cf.doc)
@@ -121,37 +139,36 @@ func GroupCard(spec Spec) (*Report, error) {
 				res, err = db.Fetch(c, res.Continuation)
 			}
 		})
-		if execErr != nil {
-			var qe *a1.QueryError
-			if ci == 3 && errors.As(execErr, &qe) && qe.Code == a1.CodeWorkingSet {
-				// The expected fast-fail: the map path cannot hold every
-				// group under the small working-set cap.
-				completed = 0
-				groups, peak, shipped, bytes, filtered, spills = 0, 0, 0, 0, 0, 0
-			} else {
-				db.Close()
-				return nil, execErr
-			}
-		}
 		db.Close()
+		if execErr != nil {
+			return nil, execErr
+		}
 
-		r.Add(float64(ci), float64(peak), float64(shipped), float64(bytes)/1024,
-			float64(filtered), float64(spills), completed)
-		switch ci {
+		row := []float64{float64(cf.id), float64(peak), float64(shipped), float64(bytes) / 1024,
+			float64(filtered), float64(spills), 1}
+		r.Add(row...)
+		live[cf.id] = row
+		switch cf.id {
 		case 1:
-			r.Note("streaming unordered: peak %d resident groups for %d total (map path held %.0f) — O(page + machines·chunk)",
-				peak, groups, r.Rows[0][1])
-		case 2:
-			if len(r.Rows) == 3 && r.Rows[1][3] > 0 {
-				r.Note("_having pushdown: %d of %d groups proven failing at workers (%.0f -> %.0f KB shipped, %.0f -> %.0f states)",
-					filtered, vertices, r.Rows[1][3], r.Rows[2][3], r.Rows[1][2], float64(shipped))
+			held := ""
+			if ok {
+				held = fmt.Sprintf(" (map path held %.0f)", frozen[0][1])
 			}
-		case 3:
-			r.Note("ordered + MaxWorkingSet=%d: map-accumulate fast-fails (ErrWorkingSet) at %d groups", smallWS, vertices)
+			r.Note("streaming unordered: peak %d resident groups for %d total%s — O(page + machines·chunk)",
+				peak, groups, held)
+		case 2:
+			if base := live[1]; base[3] > 0 {
+				r.Note("_having pushdown: %d of %d groups proven failing at workers (%.0f -> %.0f KB shipped, %.0f -> %.0f states)",
+					filtered, vertices, base[3], row[3], base[2], float64(shipped))
+			}
 		case 4:
 			r.Note("ordered + MaxWorkingSet=%d: streaming completes the same query via %d objectstore spill runs, %d groups returned",
 				smallWS, spills, groups)
 		}
+	}
+	if ok {
+		r.Note("cfg 0 and 3 are frozen: the map-accumulate coordinator was retired after commit 47d3ebd, where this report measured them on this shape (%d machines, %d racks, test scale, seed 1)",
+			spec.Machines, spec.Racks)
 	}
 	return r, nil
 }

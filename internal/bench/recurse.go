@@ -5,14 +5,40 @@ import (
 	"a1/internal/workload"
 )
 
+// Frozen baselines: measurements of engine paths that no longer exist,
+// kept so the reports that compared against them keep their columns.
+// Sim mode is deterministic, so each figure holds exactly for the run
+// shape it was measured on — test scale, seed 1, and the cluster's machine
+// and rack counts (a1bench's -quick shape or its default) — and for no
+// other.
+type frozenShape struct{ machines, racks int }
+
+// frozenShapeOf is the key a spec's frozen baselines are recorded under;
+// runs off test scale or seed 1 get the zero shape, which matches none.
+func frozenShapeOf(spec Spec) frozenShape {
+	if spec.Scale != ScaleTest || spec.Seed != 1 {
+		return frozenShape{}
+	}
+	return frozenShape{spec.Machines, spec.Racks}
+}
+
+// naiveRecurse is the naive frontier expansion's vertex reads and
+// virtual-clock latency (µs) per `_max` of the Recurse report (2, 3, 4,
+// 6, 8). Naive expansion kept no visited sets and re-read every
+// re-entered vertex each iteration; it was retired once exact dedup was
+// proved against a BFS oracle. Measured by this report at commit 47d3ebd.
+var naiveRecurse = map[frozenShape]struct{ vreads, us [5]float64 }{
+	{10, 3}: {[5]float64{24, 49, 77, 158, 254}, [5]float64{308, 537, 623, 1053, 1577}},
+	{32, 4}: {[5]float64{24, 49, 77, 158, 254}, [5]float64{426, 533, 615, 1125, 1551}},
+}
+
 // Recurse measures the `_recurse` frontier expansion on the Zipf workload,
 // whose hub-skewed link edges make path counts explode combinatorially
-// with depth while the reachable set saturates. It contrasts the
-// visited-set dedup (default) with naive expansion
-// (Config.NoRecurseDedup), which re-reads every re-entered vertex each
-// iteration: dedup's reads track the reachable set, naive's track the
-// saturated set times the remaining depth, so the gap grows superlinearly
-// with `_max`.
+// with depth while the reachable set saturates. The visited-set dedup's
+// reads track the reachable set; the naive columns are the frozen
+// baseline of expansion without dedup, whose reads tracked the saturated
+// set times the remaining depth, so the gap grows superlinearly with
+// `_max`.
 func Recurse(spec Spec) (*Report, error) {
 	vertices, edges := 2000, 6000
 	if spec.Scale == ScalePaper {
@@ -26,112 +52,98 @@ func Recurse(spec Spec) (*Report, error) {
 		Header: []string{"max", "reachable", "dedup_vreads", "naive_vreads", "saving_x", "dedup_us", "naive_us"},
 	}
 
-	// One run of every depth per engine config; vreads[naive][i] pairs with
-	// vreads[dedup][i] for row i.
-	type sample struct {
-		rows   int
-		vreads int64
-		us     int64
-	}
-	results := make(map[bool][]sample) // key: NoRecurseDedup
 	z := workload.NewZipfGraph(vertices, edges, spec.Seed)
-	// Chosen from the first candidates by 2-hop reach (below): the hub
+	db, err := a1.Open(a1.Options{
+		Machines:    spec.Machines,
+		Racks:       spec.Racks,
+		Mode:        a1.Sim,
+		Seed:        spec.Seed,
+		QueryConfig: spec.QueryCfg,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer db.Close()
+	var g *a1.Graph
+	var loadErr error
+	db.Run(func(c *a1.Ctx) {
+		if loadErr = db.CreateTenant(c, "bing"); loadErr != nil {
+			return
+		}
+		if loadErr = db.CreateGraph(c, "bing", "zipf"); loadErr != nil {
+			return
+		}
+		if g, loadErr = db.OpenGraph(c, "bing", "zipf"); loadErr != nil {
+			return
+		}
+		loadErr = z.Load(c, g)
+	})
+	if loadErr != nil {
+		return nil, loadErr
+	}
+	// The root is chosen from the first candidates by 2-hop reach: the hub
 	// core absorbs nearly all edges, but an individual hub can still be
 	// out-degree-starved, so the root is probed rather than assumed.
 	var root string
-
-	for _, naive := range []bool{false, true} {
-		qcfg := spec.QueryCfg
-		qcfg.NoRecurseDedup = naive
-		db, err := a1.Open(a1.Options{
-			Machines:    spec.Machines,
-			Racks:       spec.Racks,
-			Mode:        a1.Sim,
-			Seed:        spec.Seed,
-			QueryConfig: qcfg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		var g *a1.Graph
-		var loadErr error
-		db.Run(func(c *a1.Ctx) {
-			if loadErr = db.CreateTenant(c, "bing"); loadErr != nil {
+	var best int64
+	var probeErr error
+	db.Run(func(c *a1.Ctx) {
+		for i := 0; i < 20; i++ {
+			res, err := db.QueryAt(c, g, z.ReachableCountQuery(z.VertexID(i), 2))
+			if err != nil {
+				probeErr = err
 				return
 			}
-			if loadErr = db.CreateGraph(c, "bing", "zipf"); loadErr != nil {
-				return
-			}
-			if g, loadErr = db.OpenGraph(c, "bing", "zipf"); loadErr != nil {
-				return
-			}
-			loadErr = z.Load(c, g)
-		})
-		if loadErr != nil {
-			db.Close()
-			return nil, loadErr
-		}
-		if root == "" {
-			var best int64
-			var probeErr error
-			db.Run(func(c *a1.Ctx) {
-				for i := 0; i < 20; i++ {
-					res, err := db.QueryAt(c, g, z.ReachableCountQuery(z.VertexID(i), 2))
-					if err != nil {
-						probeErr = err
-						return
-					}
-					if res.Count > best {
-						best, root = res.Count, z.VertexID(i)
-					}
-				}
-			})
-			if probeErr != nil {
-				db.Close()
-				return nil, probeErr
+			if res.Count > best {
+				best, root = res.Count, z.VertexID(i)
 			}
 		}
-		for _, max := range maxes {
-			var s sample
-			var execErr error
-			db.Run(func(c *a1.Ctx) {
-				res, err := db.Query(c, g, z.ReachableQuery(root, max))
-				for {
-					if err != nil {
-						execErr = err
-						return
-					}
-					s.rows += len(res.Rows)
-					s.vreads += res.Stats.VerticesRead
-					s.us += res.Stats.Elapsed.Microseconds()
-					if res.Continuation == "" {
-						return
-					}
-					res, err = db.Fetch(c, res.Continuation)
-				}
-			})
-			if execErr != nil {
-				db.Close()
-				return nil, execErr
-			}
-			results[naive] = append(results[naive], s)
-		}
-		db.Close()
+	})
+	if probeErr != nil {
+		return nil, probeErr
 	}
 
+	naive, ok := naiveRecurse[frozenShapeOf(spec)]
 	for i, max := range maxes {
-		d, n := results[false][i], results[true][i]
-		saving := 0.0
-		if d.vreads > 0 {
-			saving = float64(n.vreads) / float64(d.vreads)
+		var rows int
+		var vreads, us int64
+		var execErr error
+		db.Run(func(c *a1.Ctx) {
+			res, err := db.Query(c, g, z.ReachableQuery(root, max))
+			for {
+				if err != nil {
+					execErr = err
+					return
+				}
+				rows += len(res.Rows)
+				vreads += res.Stats.VerticesRead
+				us += res.Stats.Elapsed.Microseconds()
+				if res.Continuation == "" {
+					return
+				}
+				res, err = db.Fetch(c, res.Continuation)
+			}
+		})
+		if execErr != nil {
+			return nil, execErr
 		}
-		r.Add(float64(max), float64(d.rows), float64(d.vreads), float64(n.vreads),
-			saving, float64(d.us), float64(n.us))
+		saving := 0.0
+		if vreads > 0 {
+			saving = naive.vreads[i] / float64(vreads)
+		}
+		r.Add(float64(max), float64(rows), float64(vreads), naive.vreads[i],
+			saving, float64(us), naive.us[i])
+	}
+	if !ok {
+		r.Note("no frozen naive baseline for this run shape (recorded at test scale, seed 1, on 10 machines/3 racks and 32 machines/4 racks): naive_vreads, naive_us and saving_x report 0")
+		return r, nil
 	}
 	first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
 	r.Note("dedup reads track the reachable set (%.0f vertices at _max=%d for %.0f reads); naive re-reads re-entered hubs every iteration (%.0f reads)",
 		last[1], maxes[len(maxes)-1], last[2], last[3])
 	r.Note("the saving grows with depth: %.1fx at _max=%d -> %.1fx at _max=%d — expansion cost tracks reachable-set size, not path count",
 		first[4], maxes[0], last[4], maxes[len(maxes)-1])
+	r.Note("naive_vreads and naive_us are a frozen baseline: naive expansion without visited sets was retired after commit 47d3ebd, where this report measured them on this shape (%d machines, %d racks, test scale, seed 1)",
+		spec.Machines, spec.Racks)
 	return r, nil
 }

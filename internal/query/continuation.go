@@ -11,14 +11,173 @@ import (
 )
 
 // Continuation tokens (paper §3.4): when a result set exceeds one page the
-// coordinator returns a token encoding its own identity and caches the
-// remainder in memory for a limited time (typically 60 seconds). Frontends
-// decode the coordinator from the token and route fetches to it; if the
-// cache expired or the coordinator crashed, the client restarts the query.
+// coordinator returns a token encoding its own identity and keeps the rest
+// of the result in memory for a limited time (ResultTTL, typically 60
+// seconds). Frontends decode the coordinator from the token and route
+// fetches to it; if the state expired or the coordinator crashed, the
+// client restarts the query.
+//
+// Every paged result has one shape, a pageSource, and one lifecycle. run()
+// takes the first page from the source; a source with more to give goes
+// into the coordinator's cursor store, and each Fetch claims it under the
+// store lock, pages it with no lock held (a page may pull parked group
+// runs or step a `_recurse` expansion over the fabric), and puts it back
+// under the same id while more remains. The state dies when its stream
+// drains, on Release, on a coordinator crash (DropResultsOn), on a Fetch
+// of its token after the TTL, or — for an abandoned cursor — at the first
+// put into its machine's store after the TTL.
+
+// pageSource is the rest of one paged result: a materialized row slice
+// (rowSlice), the streamed group merge behind its _skip/_limit pager
+// (pager), or a parked `_recurse` expansion (recursePager).
+type pageSource interface {
+	// nextPage fills res with up to n rows or groups, accounts the work it
+	// did into res.Stats, and reports whether more remain.
+	nextPage(c *fabric.Ctx, n int, res *Result) (more bool, err error)
+	// close releases what the source holds (spill tables, snapshot pins,
+	// pooled buffers). It runs exactly once per source, never under a
+	// store lock.
+	close(e *Engine)
+}
+
+// rowSlice pages a fully materialized row result.
+type rowSlice []Row
+
+func (s *rowSlice) nextPage(_ *fabric.Ctx, n int, res *Result) (bool, error) {
+	rows := *s
+	if len(rows) > n {
+		res.Rows, *s = rows[:n], rows[n:]
+		return true, nil
+	}
+	res.Rows, *s = rows, nil
+	return false, nil
+}
+
+func (*rowSlice) close(*Engine) {}
+
+// ttlStore is one machine's time-limited state keyed by id. Each machine
+// has two: the coordinator's cursor store (pageSources behind tokens) and
+// the worker's run store (parked group-run tails). Every put expires the
+// store's stale entries, so abandoned state dies at the first put on its
+// machine after its TTL. drop tears an entry down and is always called
+// without mu held: closing a source can release spill tables and snapshot
+// pins.
+type ttlStore[T any] struct {
+	mu      sync.Mutex
+	nextID  uint64
+	gen     uint64 // bumped by reset; entries claimed before it stay dead
+	entries map[uint64]*ttlEntry[T]
+	drop    func(T) // nil: entries need no teardown
+}
+
+type ttlEntry[T any] struct {
+	val     T
+	expires time.Duration
+	gen     uint64
+}
+
+func newTTLStore[T any](drop func(T)) *ttlStore[T] {
+	return &ttlStore[T]{entries: make(map[uint64]*ttlEntry[T]), drop: drop}
+}
+
+// put stores v for ttl and returns its id.
+func (s *ttlStore[T]) put(c *fabric.Ctx, ttl time.Duration, v T) uint64 {
+	now := c.Now()
+	s.mu.Lock()
+	stale := s.takeExpiredLocked(now)
+	s.nextID++
+	id := s.nextID
+	s.entries[id] = &ttlEntry[T]{val: v, expires: now + ttl, gen: s.gen}
+	s.mu.Unlock()
+	s.dropAll(stale)
+	return id
+}
+
+// claim removes a live entry and hands it to the caller, who may restore
+// it. A concurrent claim of the same id finds nothing — the same answer a
+// client gets after expiry. An expired entry is dropped and reported
+// missing.
+func (s *ttlStore[T]) claim(c *fabric.Ctx, id uint64) (*ttlEntry[T], bool) {
+	s.mu.Lock()
+	ent, ok := s.entries[id]
+	delete(s.entries, id)
+	s.mu.Unlock()
+	if ok && c.Now() >= ent.expires {
+		if s.drop != nil {
+			s.drop(ent.val)
+		}
+		return nil, false
+	}
+	return ent, ok
+}
+
+// restore puts a claimed entry back under its id; the deadline set by put
+// still holds. An entry whose store was reset while it was claimed died in
+// that crash: it is dropped instead.
+func (s *ttlStore[T]) restore(id uint64, ent *ttlEntry[T]) {
+	s.mu.Lock()
+	live := ent.gen == s.gen
+	if live {
+		s.entries[id] = ent
+	}
+	s.mu.Unlock()
+	if !live && s.drop != nil {
+		s.drop(ent.val)
+	}
+}
+
+// expire drops every entry past its deadline and returns how many.
+func (s *ttlStore[T]) expire(now time.Duration) int {
+	s.mu.Lock()
+	stale := s.takeExpiredLocked(now)
+	s.mu.Unlock()
+	s.dropAll(stale)
+	return len(stale)
+}
+
+// reset drops every entry (a crash of the machine holding them),
+// including those claimed right now, which restore then drops.
+func (s *ttlStore[T]) reset() {
+	s.mu.Lock()
+	s.gen++
+	old := s.entries
+	s.entries = make(map[uint64]*ttlEntry[T])
+	s.mu.Unlock()
+	s.dropAll(old)
+}
+
+func (s *ttlStore[T]) count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.entries)
+}
+
+func (s *ttlStore[T]) takeExpiredLocked(now time.Duration) map[uint64]*ttlEntry[T] {
+	var stale map[uint64]*ttlEntry[T]
+	for id, ent := range s.entries {
+		if now >= ent.expires {
+			if stale == nil {
+				stale = make(map[uint64]*ttlEntry[T])
+			}
+			stale[id] = ent
+			delete(s.entries, id)
+		}
+	}
+	return stale
+}
+
+func (s *ttlStore[T]) dropAll(ents map[uint64]*ttlEntry[T]) {
+	if s.drop == nil {
+		return
+	}
+	for _, ent := range ents {
+		s.drop(ent.val)
+	}
+}
 
 type tokenPayload struct {
 	M  int32  `json:"m"`            // coordinator machine
-	ID uint64 `json:"id"`           // cache entry
+	ID uint64 `json:"id"`           // cursor store entry
 	PS int    `json:"ps,omitempty"` // page size that shaped the first page
 }
 
@@ -49,68 +208,25 @@ func DecodeToken(token string) (fabric.MachineID, uint64, error) {
 	return fabric.MachineID(p.M), p.ID, nil
 }
 
-type cachedResult struct {
-	rows    []Row
-	groups  []GroupRow    // grouped-aggregate remainder (`_groupby` results page too)
-	pg      *pager        // streamed-group remainder: pages pull from live run/spill merges
-	rpg     *recursePager // `_recurse` remainder: pages resume the parked expansion
-	expires time.Duration
-}
-
-type resultCache struct {
-	mu      sync.Mutex
-	nextID  uint64
-	entries map[uint64]*cachedResult
-}
-
-func newResultCache() *resultCache {
-	return &resultCache{entries: make(map[uint64]*cachedResult)}
-}
-
-func (rc *resultCache) put(c *fabric.Ctx, ttl time.Duration, rows []Row, groups []GroupRow) uint64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.nextID++
-	id := rc.nextID
-	rc.entries[id] = &cachedResult{rows: rows, groups: groups, expires: c.Now() + ttl}
-	return id
-}
-
-// putStream caches a live streamed-group pager: fetches drive the k-way
-// merge (pulling worker run tails or spilled runs) instead of slicing a
-// materialized remainder.
-func (rc *resultCache) putStream(c *fabric.Ctx, ttl time.Duration, pg *pager) uint64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.nextID++
-	id := rc.nextID
-	rc.entries[id] = &cachedResult{pg: pg, expires: c.Now() + ttl}
-	return id
-}
-
-// putRecurse caches a mid-flight `_recurse` expansion: fetches step the
-// distributed frontier expansion itself instead of slicing a materialized
-// remainder, so deep reachable sets never sit fully resident behind a
-// token.
-func (rc *resultCache) putRecurse(c *fabric.Ctx, ttl time.Duration, rpg *recursePager) uint64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.nextID++
-	id := rc.nextID
-	rc.entries[id] = &cachedResult{rpg: rpg, expires: c.Now() + ttl}
-	return id
-}
-
-// closeEntry tears down whichever live pager an entry carries. Must be
-// called without rc.mu held: pager teardown can release spill tables and
-// snapshot pins.
-func (entry *cachedResult) closeEntry(e *Engine) {
-	if entry.pg != nil {
-		entry.pg.close(e)
+// firstPage takes a result's first page from src into res and parks the
+// source behind a continuation token when more remains. The page's work
+// accounts into the query's own stats.
+func (st *execState) firstPage(qc *fabric.Ctx, res *Result, src pageSource, pageSize int) error {
+	e := st.engine
+	res.Stats = st.stats
+	more, err := src.nextPage(qc, pageSize, res)
+	st.stats = res.Stats
+	if err != nil {
+		src.close(e)
+		return err
 	}
-	if entry.rpg != nil {
-		entry.rpg.close(e)
+	if !more {
+		src.close(e)
+		return nil
 	}
+	id := e.cursors[qc.M].put(qc, e.cfg.ResultTTL, src)
+	res.Continuation = encodeToken(qc.M, id, pageSize)
+	return nil
 }
 
 // Fetch returns the next page for a continuation token. It must execute on
@@ -118,88 +234,36 @@ func (entry *cachedResult) closeEntry(e *Engine) {
 // DecodeToken routing). The token carries the page size that shaped the
 // first page, so every page of one query agrees even when the client hinted
 // a custom _pagesize. Ordered results were sorted once at the coordinator
-// before caching, so later pages stay sorted across fetches.
+// before the first page, so later pages stay sorted across fetches.
 func (e *Engine) Fetch(c *fabric.Ctx, token string) (*Result, error) {
 	p, err := decodeToken(token)
 	if err != nil {
 		return nil, classify(err)
 	}
-	m, id := fabric.MachineID(p.M), p.ID
-	if m != c.M {
+	if m := fabric.MachineID(p.M); m != c.M {
 		return nil, classify(fmt.Errorf("%w: token belongs to %v, fetched on %v", ErrBadToken, m, c.M))
 	}
 	pageSize := p.PS
 	if pageSize <= 0 {
 		pageSize = e.cfg.PageSize
 	}
-	rc := e.caches[c.M]
-	rc.mu.Lock()
-	entry, ok := rc.entries[id]
-	if ok && c.Now() >= entry.expires {
-		delete(rc.entries, id)
-		rc.mu.Unlock()
-		entry.closeEntry(e)
-		return nil, classify(fmt.Errorf("%w: expired; restart the query", ErrBadToken))
-	}
+	cursors := e.cursors[c.M]
+	ent, ok := cursors.claim(c, p.ID)
 	if !ok {
-		rc.mu.Unlock()
 		return nil, classify(fmt.Errorf("%w: expired; restart the query", ErrBadToken))
-	}
-	if entry.pg != nil || entry.rpg != nil {
-		// Live-pager entry (streamed groups or a parked `_recurse`
-		// expansion): paging it pulls run tails or steps the expansion over
-		// the fabric, so the entry is claimed (removed) under the lock and
-		// the pull runs unlocked — a local lock must never be held across a
-		// fabric round trip. A concurrent Fetch of the same token sees no
-		// entry and gets ErrBadToken, the same contract as racing a sweeper
-		// expiry.
-		delete(rc.entries, id)
-		rc.mu.Unlock()
-		res := &Result{}
-		var more bool
-		var err error
-		if entry.pg != nil {
-			res.Groups, more, err = entry.pg.nextPage(c, pageSize, &res.Stats)
-		} else {
-			res.Rows, more, err = entry.rpg.nextPage(c, pageSize, &res.Stats)
-		}
-		if err != nil {
-			entry.closeEntry(e)
-			return nil, classify(err)
-		}
-		if more {
-			rc.mu.Lock()
-			rc.entries[id] = entry // same id: the client's token stays valid
-			rc.mu.Unlock()
-			res.Continuation = token
-		} else {
-			entry.closeEntry(e)
-		}
-		return res, nil
 	}
 	res := &Result{}
-	if len(entry.groups) > 0 {
-		// Grouped-aggregate remainder: groups page exactly like rows.
-		if len(entry.groups) > pageSize {
-			res.Groups = entry.groups[:pageSize]
-			entry.groups = entry.groups[pageSize:]
-		} else {
-			res.Groups = entry.groups
-			delete(rc.entries, id)
-			id = 0
-		}
-	} else if len(entry.rows) > pageSize {
-		res.Rows = entry.rows[:pageSize]
-		entry.rows = entry.rows[pageSize:]
-	} else {
-		res.Rows = entry.rows
-		delete(rc.entries, id)
-		id = 0
+	more, err := ent.val.nextPage(c, pageSize, res)
+	if err != nil {
+		ent.val.close(e)
+		return nil, classify(err)
 	}
-	rc.mu.Unlock()
-	if id != 0 {
-		res.Continuation = token // same entry, same page size
+	if !more {
+		ent.val.close(e)
+		return res, nil
 	}
+	cursors.restore(p.ID, ent) // same id: the client's token stays valid
+	res.Continuation = token
 	return res, nil
 }
 
@@ -212,67 +276,40 @@ func (e *Engine) Release(c *fabric.Ctx, token string) error {
 	if err != nil {
 		return classify(err)
 	}
-	m := fabric.MachineID(p.M)
-	if m != c.M {
+	if m := fabric.MachineID(p.M); m != c.M {
 		return classify(fmt.Errorf("%w: token belongs to %v, released on %v", ErrBadToken, m, c.M))
 	}
-	rc := e.caches[c.M]
-	rc.mu.Lock()
-	entry := rc.entries[p.ID]
-	delete(rc.entries, p.ID)
-	rc.mu.Unlock()
-	if entry != nil {
-		entry.closeEntry(e)
+	if ent, ok := e.cursors[c.M].claim(c, p.ID); ok {
+		ent.val.close(e)
 	}
 	return nil
 }
 
-// PendingResults counts live continuation entries cached on machine m —
-// the observable for cursor-release and sweeper tests.
+// PendingResults counts live continuation entries on machine m — the
+// observable for cursor-release and expiry tests.
 func (e *Engine) PendingResults(m fabric.MachineID) int {
-	rc := e.caches[m]
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return len(rc.entries)
+	return e.cursors[m].count()
 }
 
-// ExpireResults drops timed-out continuation state on machine m — cached
-// pages, streamed-group pagers (their spill tables are released), and this
-// machine's parked group-run tails (called by a background sweeper; also
-// exercised directly in tests).
+// PendingRuns counts group-run tails parked on machine m — the observable
+// for the streamed-group expiry tests and the groupcard bench.
+func (e *Engine) PendingRuns(m fabric.MachineID) int {
+	return e.runs[m].count()
+}
+
+// ExpireResults drops the timed-out state on c's machine — its cursors
+// (their spill tables and snapshot pins are released) and its parked
+// group-run tails — and returns how many entries went. Every put already
+// sweeps its own store; calling this sweeps both now.
 func (e *Engine) ExpireResults(c *fabric.Ctx) int {
-	rc := e.caches[c.M]
 	now := c.Now()
-	var closed []*cachedResult
-	rc.mu.Lock()
-	n := 0
-	for id, entry := range rc.entries {
-		if now >= entry.expires {
-			delete(rc.entries, id)
-			if entry.pg != nil || entry.rpg != nil {
-				closed = append(closed, entry)
-			}
-			n++
-		}
-	}
-	rc.mu.Unlock()
-	for _, entry := range closed {
-		entry.closeEntry(e)
-	}
-	return n + e.runs[c.M].expire(now)
+	return e.cursors[c.M].expire(now) + e.runs[c.M].expire(now)
 }
 
-// DropResultsOn simulates a coordinator crash wiping its continuation
-// cache and its parked group-run tails (clients must restart their
-// queries; run tails this machine's queries parked elsewhere die by TTL).
+// DropResultsOn simulates a coordinator crash wiping its cursors and its
+// parked group-run tails (clients must restart their queries; run tails
+// this machine's queries parked elsewhere die by TTL).
 func (e *Engine) DropResultsOn(m fabric.MachineID) {
-	rc := e.caches[m]
-	rc.mu.Lock()
-	old := rc.entries
-	rc.entries = make(map[uint64]*cachedResult)
-	rc.mu.Unlock()
-	for _, entry := range old {
-		entry.closeEntry(e)
-	}
+	e.cursors[m].reset()
 	e.runs[m].reset()
 }

@@ -57,19 +57,6 @@ type Config struct {
 	// allocates fresh memory. Ablation knob for the allocs bench report
 	// and for bisecting suspected recycle-too-early bugs.
 	NoPooling bool
-	// NoRecurseDedup disables the per-machine visited sets of `_recurse`
-	// expansion: every iteration re-reads and re-expands every candidate
-	// reached, path by path, bounded only by `_max` and MaxWorkingSet —
-	// the naive baseline the recurse bench report compares against. The
-	// result may over-report vertices whose shortest distance from a root
-	// is below `_min` (a longer path can reach them inside the window),
-	// so this is an ablation knob, not a production mode.
-	NoRecurseDedup bool
-	// NoGroupStreaming disables the streamed grouped-aggregate path:
-	// workers ship whole group maps and the coordinator accumulates every
-	// group before finalizing — the pre-streaming behavior, kept as the
-	// parity ablation and the groupcard benchmark baseline.
-	NoGroupStreaming bool
 	// GroupChunk is how many sorted group entries a worker ships per
 	// round: the first chunk rides the batch reply, the rest are pulled
 	// chunk by chunk as the coordinator's merge drains. It also sizes the
@@ -150,8 +137,8 @@ type Stats struct {
 	// objectstore (order-by-aggregate form past MaxWorkingSet).
 	GroupSpills int64
 	// PeakGroups is the peak number of group entries resident at the
-	// coordinator: the full group set on the map-accumulate path, merge
-	// buffers plus the page on the streaming path.
+	// coordinator: merge buffers plus the page, or the sorted buffer of
+	// the order-by-aggregate form.
 	PeakGroups int64
 	// PlanCacheHits is 1 when this execution's plan came from the engine's
 	// plan cache (a Prepared.Exec or a repeated document): the coordinator
@@ -189,11 +176,14 @@ type Result struct {
 
 // Engine executes A1QL queries against a graph store.
 type Engine struct {
-	store  *core.Store
-	cfg    Config
-	caches []*resultCache // per machine (coordinator-cached continuations)
-	runs   []*runStore    // per machine (worker-parked group-run tails)
-	plans  *planCache     // compiled plans keyed by canonical document hash
+	store *core.Store
+	cfg   Config
+	// Per-machine time-limited state (continuation.go): the cursors a
+	// coordinator parks behind continuation tokens and the group-run tails
+	// a worker parks for the coordinator to pull.
+	cursors []*ttlStore[pageSource]
+	runs    []*ttlStore[[]groupEntry]
+	plans   *planCache // compiled plans keyed by canonical document hash
 
 	// spill holds sorted group runs the order-by-aggregate form writes past
 	// MaxWorkingSet (groupstream.go); spillSeq names the run tables.
@@ -217,11 +207,12 @@ func NewEngine(store *core.Store, cfg Config) *Engine {
 	}
 	e := &Engine{store: store, cfg: cfg, plans: newPlanCache(), spill: objectstore.New()}
 	machines := store.Farm().Fabric().Machines()
-	e.caches = make([]*resultCache, machines)
-	e.runs = make([]*runStore, machines)
-	for i := range e.caches {
-		e.caches[i] = newResultCache()
-		e.runs[i] = newRunStore()
+	e.cursors = make([]*ttlStore[pageSource], machines)
+	e.runs = make([]*ttlStore[[]groupEntry], machines)
+	closeSource := func(src pageSource) { src.close(e) }
+	for i := range e.cursors {
+		e.cursors[i] = newTTLStore(closeSource)
+		e.runs[i] = newTTLStore[[]groupEntry](nil)
 	}
 	return e
 }
@@ -319,7 +310,6 @@ func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 
 	var rows []Row
 	var aggStates []aggState
-	var groups map[string]*groupState
 	var gcur *groupCursor
 	var rpager *recursePager
 	pageSize := e.cfg.PageSize
@@ -413,7 +403,7 @@ func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 			// partials into per-machine runs; the returned cursor k-way
 			// merges them in key order as the result pages out, so the full
 			// group set is never resident at the coordinator.
-			if lp.Terminal && lp.Group != nil && !e.cfg.NoGroupStreaming {
+			if lp.Terminal && lp.Group != nil {
 				cur, err := st.execGroupedLevel(qc, frontier, pat, lp)
 				st.bufs.putAddrSet(st.member)
 				st.member = nil
@@ -434,7 +424,6 @@ func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 			if lp.Terminal {
 				rows = dedupRows(st.bufs, out.rows)
 				aggStates = out.aggs
-				groups = out.groups
 				break
 			}
 			// Aggregate replies: dedup and repartition by pointer (§3.4).
@@ -453,53 +442,23 @@ func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 		}
 	}
 
+	// Every result with rows or groups pages through one pageSource: the
+	// parked `_recurse` expansion, the grouped merge behind its pager, or
+	// the materialized rows.
 	res := &Result{}
+	var src pageSource
 	switch {
 	case rpager != nil:
-		// Mid-expansion page: the rows in hand are the first page and the
-		// parked expansion produces the rest on demand through Fetch.
-		res.Rows = rows
-		id := e.caches[qc.M].putRecurse(qc, e.cfg.ResultTTL, rpager)
-		res.Continuation = encodeToken(qc.M, id, pageSize)
+		src = rpager
 	case tl.Group != nil:
-		if gcur != nil {
-			// Streamed grouped aggregates: the unordered form pages the
-			// k-way merge cursor directly (later pages pull through the
-			// continuation entry); the aggregate-`_orderby` form drains the
-			// cursor — spilling sorted runs past MaxWorkingSet — and pages
-			// the re-merged order.
-			if err := st.streamGroups(qc, res, gcur, tp, pageSize); err != nil {
-				return nil, err
-			}
-			break
+		if gcur == nil {
+			break // the frontier died before the grouped level: no groups
 		}
-		// Map-accumulate ablation (Config.NoGroupStreaming): finalize the
-		// merged partial states into the sorted group list; `_having`
-		// filters finalized groups, _skip/_limit shape them, and overflowing
-		// group lists page through the continuation cache like rows. An
-		// aggregate `_orderby` re-sorts the groups by their (now final)
-		// aggregate columns, and the _limit slice below is the top-K
-		// pruning — groups merge fully before any aggregate is final, so
-		// the coordinator is the earliest place to prune.
-		grows := finalizeGroups(groups, tp.GroupBy, tp.Aggs)
-		if n := int64(len(grows)); n > st.stats.PeakGroups {
-			st.stats.PeakGroups = n
+		pg, err := st.groupPager(qc, gcur, tp)
+		if err != nil {
+			return nil, err
 		}
-		if len(tp.Having) > 0 {
-			kept := grows[:0]
-			for _, gr := range grows {
-				if evalHavingRow(gr.Aggregates, tp.Having, tp.Aggs) {
-					kept = append(kept, gr)
-				} else {
-					st.stats.GroupsFiltered++
-				}
-			}
-			grows = kept
-		}
-		if len(tp.Orders) > 0 {
-			sortGroupsByAgg(grows, tp.Orders, tp.GroupOrder, tp.Aggs)
-		}
-		e.pageGroupSlice(qc, res, grows, tp, pageSize)
+		src = pg
 	default:
 		if len(tp.Aggs) > 0 {
 			if aggStates == nil {
@@ -521,22 +480,17 @@ func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 			if len(tp.Orders) > 0 && !st.preOrdered {
 				sortRows(rows, tp.Orders)
 			}
-			if skip := tp.Skip; skip > 0 {
-				if skip >= len(rows) {
-					rows = nil
-				} else {
-					rows = rows[skip:]
-				}
-			}
+			rows = rows[min(tp.Skip, len(rows)):]
 			if tp.Limit > 0 && len(rows) > tp.Limit {
 				rows = rows[:tp.Limit]
 			}
-			if len(rows) > pageSize {
-				token := e.caches[qc.M].put(qc, e.cfg.ResultTTL, rows[pageSize:], nil)
-				res.Continuation = encodeToken(qc.M, token, pageSize)
-				rows = rows[:pageSize]
-			}
-			res.Rows = rows
+			s := rowSlice(rows)
+			src = &s
+		}
+	}
+	if src != nil {
+		if err := st.firstPage(qc, res, src, pageSize); err != nil {
+			return nil, err
 		}
 	}
 
@@ -1447,8 +1401,8 @@ func (g *groupState) wireBytes(enc string) int {
 }
 
 // replyBytes is the wire size of one batch's reply: fat pointers for the
-// next frontier, Bond-encoded projected rows, and (grouped) aggregate
-// partials.
+// next frontier, Bond-encoded projected rows, and aggregate partials.
+// Grouped replies are sorted runs and size themselves (runWireBytes).
 func (o *levelOutput) replyBytes() int {
 	n := len(o.next) * ptrWireBytes
 	for i := range o.rows {
@@ -1456,9 +1410,6 @@ func (o *levelOutput) replyBytes() int {
 	}
 	for i := range o.aggs {
 		n += o.aggs[i].wireBytes()
-	}
-	for enc, gs := range o.groups {
-		n += gs.wireBytes(enc)
 	}
 	return n
 }
@@ -1531,20 +1482,6 @@ func (st *execState) execLevel(qc *fabric.Ctx, frontier []core.VertexPtr, pat *V
 				merged.aggs = make([]aggState, len(pat.Aggs))
 			}
 			mergeAggStates(merged.aggs, out.aggs, pat.Aggs)
-		}
-		if out.groups != nil {
-			if merged.groups == nil {
-				merged.groups = make(map[string]*groupState)
-			}
-			mergeGroupStates(merged.groups, out.groups, pat.Aggs)
-			// Incremental working-set cap: fail while merging, never after
-			// transiently holding an over-budget group map.
-			if len(merged.groups) > st.engine.cfg.MaxWorkingSet && firstErr == nil {
-				firstErr = fmt.Errorf("%w: %d groups", ErrWorkingSet, len(merged.groups))
-			}
-			if n := int64(len(merged.groups)); n > st.stats.PeakGroups {
-				st.stats.PeakGroups = n
-			}
 		}
 		// Ordered-limit merge: never hold more than the top K(+skip) rows.
 		if lp.Terminal && st.keep > 0 && len(merged.rows) > 2*st.keep {

@@ -18,10 +18,10 @@ import (
 // streaming: each worker ships its partials as a *key-sorted run* (first
 // chunk inline in the RPC reply, the remainder parked in the worker's run
 // store and pulled chunk by chunk), and the coordinator k-way merges the
-// runs in encoded-key order — the same order finalizeGroups' sort.Strings
-// produces — so finalized groups flow out through continuation pages
-// without the full group set ever being resident. Coordinator residency is
-// O(page + machines·chunk) instead of O(groups).
+// runs (kMerge) in encoded-key order, folding equal keys, so finalized
+// groups flow out through continuation pages without the full group set
+// ever being resident. Coordinator residency is O(page + machines·chunk)
+// instead of O(groups).
 //
 // `_having` rides the runs: a worker whose local partial already proves a
 // group fails globally ships a key-only tombstone (group keys are spread
@@ -30,10 +30,16 @@ import (
 // local state is exact and failing groups are dropped outright. The
 // coordinator re-checks every surviving group after its states merge.
 //
-// The order-by-aggregate form needs every group before the sort; past
-// MaxWorkingSet buffered groups the coordinator sorts the buffer into a run
-// and spills it to the engine's objectstore, then merge-sorts the runs back
-// — graceful completion where the engine used to fast-fail.
+// The order-by-aggregate form needs every group before the sort: the
+// coordinator drains the run merge into buffers sorted by spillRowLess,
+// spills each full buffer (MaxWorkingSet groups) to the engine's
+// objectstore, and pages the merge of the spilled runs and the last
+// in-memory buffer — graceful completion where a coordinator holding every
+// group would fast-fail.
+//
+// Every grouped result pages through the pager, which applies the
+// terminal _skip/_limit to either group stream and is the pageSource
+// behind grouped continuations (continuation.go).
 
 // groupEntry is one element of a key-sorted group run: the group key's
 // order-preserving encoding and its partial aggregate states. A nil state
@@ -60,89 +66,6 @@ func runWireBytes(entries []groupEntry) int {
 		n += entries[i].wireBytes()
 	}
 	return n
-}
-
-// runStore holds a machine's pending group runs: the tail of every sorted
-// run whose first chunk was shipped, keyed by run id, retained for the
-// continuation TTL (the coordinator pulls the rest chunk by chunk as its
-// client pages). Expiry mirrors the coordinator's result cache: a client
-// that stalls past the TTL restarts the query.
-type runStore struct {
-	mu      sync.Mutex
-	nextID  uint64
-	entries map[uint64]*pendingRun
-}
-
-type pendingRun struct {
-	entries []groupEntry
-	expires time.Duration
-}
-
-func newRunStore() *runStore {
-	return &runStore{entries: make(map[uint64]*pendingRun)}
-}
-
-func (rs *runStore) put(c *fabric.Ctx, ttl time.Duration, entries []groupEntry) uint64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.nextID++
-	id := rs.nextID
-	rs.entries[id] = &pendingRun{entries: entries, expires: c.Now() + ttl}
-	return id
-}
-
-// pull hands the coordinator the next chunk of a pending run, deleting the
-// entry once drained. more=false tells the caller the run is exhausted.
-func (rs *runStore) pull(c *fabric.Ctx, id uint64, n int) ([]groupEntry, bool, error) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	pr, ok := rs.entries[id]
-	if ok && c.Now() >= pr.expires {
-		delete(rs.entries, id)
-		ok = false
-	}
-	if !ok {
-		return nil, false, fmt.Errorf("%w: group run expired; restart the query", ErrBadToken)
-	}
-	if len(pr.entries) <= n {
-		chunk := pr.entries
-		delete(rs.entries, id)
-		return chunk, false, nil
-	}
-	chunk := pr.entries[:n]
-	pr.entries = pr.entries[n:]
-	return chunk, true, nil
-}
-
-func (rs *runStore) expire(now time.Duration) int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	n := 0
-	for id, pr := range rs.entries {
-		if now >= pr.expires {
-			delete(rs.entries, id)
-			n++
-		}
-	}
-	return n
-}
-
-func (rs *runStore) count() int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return len(rs.entries)
-}
-
-func (rs *runStore) reset() {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.entries = make(map[uint64]*pendingRun)
-}
-
-// PendingRuns counts group-run tails parked on machine m — the observable
-// for the streamed-group sweeper tests and the groupcard bench.
-func (e *Engine) PendingRuns(m fabric.MachineID) int {
-	return e.runs[m].count()
 }
 
 // finalAggValue converts one merged aggregate state into its result value.
@@ -213,18 +136,6 @@ func evalHavingState(gs *groupState, having []HavingPred, aggs []Aggregate) bool
 	return true
 }
 
-// evalHavingRow is evalHavingState over an already-finalized GroupRow (the
-// map-accumulate ablation path filters after finalizeGroups).
-func evalHavingRow(aggVals map[string]bond.Value, having []HavingPred, aggs []Aggregate) bool {
-	for _, hp := range having {
-		v := aggVals[aggs[hp.AggIdx].Raw]
-		if v.IsNull() || !evalHavingOp(v, hp.Op, hp.Value) {
-			return false
-		}
-	}
-	return true
-}
-
 // havingProvesFail reports whether a *local* partial state already proves
 // the group fails a `_having` predicate globally, no matter what other
 // machines contribute. Only merge-monotone aggregates admit proofs:
@@ -286,7 +197,7 @@ func havingProvesFail(gs *groupState, having []HavingPred, aggs []Aggregate) boo
 
 // buildGroupRun serializes a worker batch's group map into a key-sorted run
 // and applies the `_having` pushdown. Emission order must be the encoded
-// keys ascending — the exact order finalizeGroups sorts into — so the runs
+// keys ascending — the order the coordinator merge relies on — so the runs
 // are collected and sorted, never emitted in map order (a1/maporder).
 // exact marks the single-machine case where local states are final: failing
 // groups are dropped outright instead of tombstoned. Returns the run and
@@ -320,14 +231,13 @@ func buildGroupRun(groups map[string]*groupState, pat *VertexPattern, exact bool
 	return entries, filtered
 }
 
-// runSource is the coordinator's view of one machine's sorted run: the
-// buffered chunk plus the run id to pull the rest from (0 = fully
-// delivered).
-type runSource struct {
+// runReply is one worker's answer to a grouped batch: the first chunk of
+// its sorted run and the id its tail is parked under (0 = the chunk is the
+// whole run).
+type runReply struct {
 	m     fabric.MachineID
-	buf   []groupEntry
-	pos   int
-	runID uint64
+	first []groupEntry
+	tail  uint64
 }
 
 // execGroupedLevel runs a grouped terminal level streaming: the frontier is
@@ -355,29 +265,29 @@ func (st *execState) execGroupedLevel(qc *fabric.Ctx, frontier []core.VertexPtr,
 	// the final states, so `_having` evaluates exactly at the worker and the
 	// coordinator re-check is redundant.
 	exact := len(order) == 1
-	srcs := make([]*runSource, len(order))
+	replies := make([]*runReply, len(order))
 	var mu sync.Mutex
 	var firstErr error
 	qc.Parallel(len(order), func(i int, cc *fabric.Ctx) {
 		m := order[i]
 		batch := parts[m]
 		ship := !st.hints.NoShipping && m != cc.M && len(batch) >= st.engine.cfg.ShipThreshold
-		var src *runSource
+		var rep *runReply
 		var err error
 		var rb int
 		defer st.bufs.putPtrs(batch)
 		if ship {
 			reqBytes := len(batch)*ptrWireBytes + 128
 			err = cc.RPC(m, reqBytes, func(sc *fabric.Ctx) (int, error) {
-				src, err = st.buildGroupSource(sc, batch, pat, lp, exact)
+				rep, err = st.buildGroupSource(sc, batch, pat, lp, exact)
 				if err != nil {
 					return 0, err
 				}
-				rb = runWireBytes(src.buf)
+				rb = runWireBytes(rep.first)
 				return rb, nil
 			})
 		} else {
-			src, err = st.buildGroupSource(cc, batch, pat, lp, exact)
+			rep, err = st.buildGroupSource(cc, batch, pat, lp, exact)
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -389,28 +299,25 @@ func (st *execState) execGroupedLevel(qc *fabric.Ctx, frontier []core.VertexPtr,
 		}
 		if ship {
 			st.mu.Lock()
-			st.stats.GroupsShipped += int64(countStates(src.buf))
+			st.stats.GroupsShipped += int64(countStates(rep.first))
 			st.stats.BytesShipped += int64(rb)
 			st.mu.Unlock()
 		}
-		srcs[i] = src
+		replies[i] = rep
 	})
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	live := srcs[:0]
-	for _, src := range srcs {
-		if src != nil {
-			live = append(live, src)
-		}
-	}
 	cur := &groupCursor{
 		e:      st.engine,
-		srcs:   live,
+		merge:  kMerge[groupEntry]{runs: make([]mergeRun[groupEntry], 0, len(replies)), less: groupEntryLess},
 		by:     pat.GroupBy,
 		aggs:   pat.Aggs,
 		having: pat.Having,
 		exact:  exact,
+	}
+	for _, rep := range replies {
+		cur.merge.add(rep.first, cur.puller(rep.m, rep.tail))
 	}
 	if r := cur.resident(); r > st.stats.PeakGroups {
 		st.stats.PeakGroups = r
@@ -433,7 +340,7 @@ func countStates(entries []groupEntry) int {
 // enforces the per-machine working-set cap incrementally), sort the group
 // map into a run, ship the first chunk inline and park the tail in this
 // machine's run store under the continuation TTL.
-func (st *execState) buildGroupSource(sc *fabric.Ctx, batch []core.VertexPtr, pat *VertexPattern, lp *LevelPlan, exact bool) (*runSource, error) {
+func (st *execState) buildGroupSource(sc *fabric.Ctx, batch []core.VertexPtr, pat *VertexPattern, lp *LevelPlan, exact bool) (*runReply, error) {
 	out, err := st.execBatch(sc, batch, pat, lp)
 	if err != nil {
 		return nil, err
@@ -445,121 +352,113 @@ func (st *execState) buildGroupSource(sc *fabric.Ctx, batch []core.VertexPtr, pa
 		st.mu.Unlock()
 	}
 	e := st.engine
-	src := &runSource{m: sc.M}
-	if len(entries) <= e.cfg.GroupChunk {
-		src.buf = entries
-		return src, nil
+	rep := &runReply{m: sc.M, first: entries}
+	if len(entries) > e.cfg.GroupChunk {
+		rep.first = entries[:e.cfg.GroupChunk]
+		rep.tail = e.runs[sc.M].put(sc, e.cfg.ResultTTL, entries[e.cfg.GroupChunk:])
 	}
-	src.buf = entries[:e.cfg.GroupChunk]
-	src.runID = e.runs[sc.M].put(sc, e.cfg.ResultTTL, entries[e.cfg.GroupChunk:])
-	return src, nil
+	return rep, nil
 }
 
-// groupCursor k-way merges per-machine key-sorted runs into the stream of
-// globally merged groups, ascending by encoded key — byte-identical order
-// to sorting the accumulated map. Equal keys across machines merge their
-// aggregate states; a tombstone from any machine kills its key. The head
-// scan is linear in the machine count, like mergeSortedRows.
+// pullRun hands the coordinator the next chunk of a run tail parked on
+// c's machine; the rest stays parked under the same id until drained.
+// more=false tells the caller the run is exhausted.
+func (e *Engine) pullRun(c *fabric.Ctx, id uint64) ([]groupEntry, bool, error) {
+	runs := e.runs[c.M]
+	ent, ok := runs.claim(c, id)
+	if !ok {
+		return nil, false, fmt.Errorf("%w: group run expired; restart the query", ErrBadToken)
+	}
+	n := e.cfg.GroupChunk
+	if len(ent.val) <= n {
+		return ent.val, false, nil
+	}
+	chunk := ent.val[:n]
+	ent.val = ent.val[n:]
+	runs.restore(id, ent)
+	return chunk, true, nil
+}
+
+func groupEntryLess(a, b *groupEntry) bool { return a.enc < b.enc }
+
+// groupCursor folds the k-way merge of per-machine key-sorted runs into the
+// stream of globally merged groups, ascending by encoded key —
+// byte-identical order to sorting the whole group set. Equal keys across
+// machines merge their aggregate states; a tombstone from any machine
+// kills its key.
 type groupCursor struct {
 	e      *Engine
-	srcs   []*runSource
+	merge  kMerge[groupEntry]
 	by     []FieldPath
 	aggs   []Aggregate
 	having []HavingPred
 	exact  bool
-	done   bool
 }
 
-// fill ensures a source has a buffered head, pulling the next chunk of its
-// parked run when the buffer drains. Remote pulls account their reply bytes
-// and shipped states like any worker RPC.
-func (cur *groupCursor) fill(c *fabric.Ctx, s *runSource, stats *Stats) (bool, error) {
-	if s.pos < len(s.buf) {
-		return true, nil
-	}
-	if s.runID == 0 {
-		return false, nil
+// puller returns the pull function for a run whose tail is parked on m
+// under id (nil when the first chunk was the whole run). Remote pulls
+// account their reply bytes and shipped states like any worker RPC.
+func (cur *groupCursor) puller(m fabric.MachineID, id uint64) func(*fabric.Ctx, *Stats) ([]groupEntry, bool, error) {
+	if id == 0 {
+		return nil
 	}
 	e := cur.e
-	var entries []groupEntry
-	var more bool
-	var err error
-	if s.m == c.M {
-		entries, more, err = e.runs[s.m].pull(c, s.runID, e.cfg.GroupChunk)
-	} else {
-		err = c.RPC(s.m, 32, func(sc *fabric.Ctx) (int, error) {
-			var perr error
-			entries, more, perr = e.runs[s.m].pull(sc, s.runID, e.cfg.GroupChunk)
-			if perr != nil {
-				return 0, perr
+	return func(c *fabric.Ctx, stats *Stats) ([]groupEntry, bool, error) {
+		var entries []groupEntry
+		var more bool
+		var err error
+		if m == c.M {
+			entries, more, err = e.pullRun(c, id)
+		} else {
+			err = c.RPC(m, 32, func(sc *fabric.Ctx) (int, error) {
+				var perr error
+				entries, more, perr = e.pullRun(sc, id)
+				if perr != nil {
+					return 0, perr
+				}
+				return runWireBytes(entries), nil
+			})
+			if err == nil {
+				stats.GroupsShipped += int64(countStates(entries))
+				stats.BytesShipped += int64(runWireBytes(entries))
 			}
-			return runWireBytes(entries), nil
-		})
-		if err == nil {
-			stats.GroupsShipped += int64(countStates(entries))
-			stats.BytesShipped += int64(runWireBytes(entries))
 		}
+		if err != nil {
+			return nil, false, err
+		}
+		// The pulling run is drained, so the chunk adds to what the other
+		// runs already buffer.
+		if r := cur.resident() + int64(len(entries)); r > stats.PeakGroups {
+			stats.PeakGroups = r
+		}
+		return entries, more, nil
 	}
-	if err != nil {
-		return false, err
-	}
-	s.buf, s.pos = entries, 0
-	if !more {
-		s.runID = 0
-	}
-	if r := cur.resident(); r > stats.PeakGroups {
-		stats.PeakGroups = r
-	}
-	return len(s.buf) > 0, nil
 }
 
 // resident counts the group entries currently buffered at the coordinator.
-func (cur *groupCursor) resident() int64 {
-	var n int64
-	for _, s := range cur.srcs {
-		n += int64(len(s.buf) - s.pos)
-	}
-	return n
-}
+func (cur *groupCursor) resident() int64 { return cur.merge.resident() }
 
 // next returns the next merged group in encoded-key order, or ok=false when
 // the runs are exhausted.
 func (cur *groupCursor) next(c *fabric.Ctx, stats *Stats) (string, *groupState, bool, error) {
-	for !cur.done {
-		best := -1
-		for i, s := range cur.srcs {
-			ok, err := cur.fill(c, s, stats)
-			if err != nil {
-				return "", nil, false, err
-			}
-			if !ok {
-				continue
-			}
-			if best < 0 || s.buf[s.pos].enc < cur.srcs[best].buf[cur.srcs[best].pos].enc {
-				best = i
-			}
+	for {
+		h, err := cur.merge.head(c, stats)
+		if err != nil || h == nil {
+			return "", nil, false, err
 		}
-		if best < 0 {
-			cur.done = true
-			break
-		}
-		enc := cur.srcs[best].buf[cur.srcs[best].pos].enc
+		enc := h.enc
 		var merged *groupState
 		dead := false
-		for _, s := range cur.srcs {
-			if s.pos >= len(s.buf) || s.buf[s.pos].enc != enc {
-				continue
-			}
-			ge := s.buf[s.pos]
-			s.pos++
+		for ; h != nil && h.enc == enc; h = cur.merge.buffered() {
+			cur.merge.pop()
 			c.Work(cur.e.cfg.CostMerge)
 			switch {
-			case ge.gs == nil:
+			case h.gs == nil:
 				dead = true // a worker proved the group fails _having
 			case merged == nil:
-				merged = ge.gs
+				merged = h.gs
 			default:
-				mergeAggStates(merged.aggs, ge.gs.aggs, cur.aggs)
+				mergeAggStates(merged.aggs, h.gs.aggs, cur.aggs)
 			}
 		}
 		if dead || merged == nil {
@@ -571,12 +470,11 @@ func (cur *groupCursor) next(c *fabric.Ctx, stats *Stats) (string, *groupState, 
 		}
 		return enc, merged, true, nil
 	}
-	return "", nil, false, nil
 }
 
 // groupStream is a source of finalized groups the pager pages out: the live
-// run merge (unordered `_groupby`) or the spill merge (order-by-aggregate
-// past the working-set cap).
+// run merge (unordered `_groupby`) or the sorted-run merge
+// (order-by-aggregate).
 type groupStream interface {
 	nextRow(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error)
 	resident() int64
@@ -596,23 +494,36 @@ func (cur *groupCursor) nextRow(c *fabric.Ctx, stats *Stats) (GroupRow, bool, er
 // coordinator to release it).
 func (cur *groupCursor) close(*Engine) {}
 
+// groupPager wraps a grouped terminal's merge cursor in the pager that cuts
+// it into pages. The unordered form pages the run merge directly; the
+// aggregate-`_orderby` form first drains it into sorted runs and pages
+// their merge.
+func (st *execState) groupPager(qc *fabric.Ctx, cur *groupCursor, tp *VertexPattern) (*pager, error) {
+	var stream groupStream = cur
+	if len(tp.Orders) > 0 {
+		sm, err := st.collectOrderedGroups(qc, cur, tp)
+		if err != nil {
+			return nil, err
+		}
+		stream = sm
+	}
+	pg := &pager{stream: stream, skip: tp.Skip, limit: -1}
+	if tp.Limit > 0 {
+		pg.limit = tp.Limit
+	}
+	return pg, nil
+}
+
 // pager applies the terminal _skip/_limit to a group stream and cuts it
-// into continuation pages. It holds a one-row lookahead so a page knows
-// whether a continuation must be issued without an empty final page.
+// into continuation pages — the pageSource of every grouped result. It
+// holds a one-group lookahead so a page knows whether a continuation must
+// be issued without an empty final page.
 type pager struct {
 	stream  groupStream
 	skip    int
 	limit   int // remaining _limit; -1 = unbounded
 	pending *GroupRow
 	done    bool
-}
-
-func newPager(stream groupStream, tp *VertexPattern) *pager {
-	pg := &pager{stream: stream, skip: tp.Skip, limit: -1}
-	if tp.Limit > 0 {
-		pg.limit = tp.Limit
-	}
-	return pg
 }
 
 func (p *pager) pull(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error) {
@@ -646,12 +557,13 @@ func (p *pager) pull(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error) {
 }
 
 // nextPage emits up to n groups and reports whether more remain.
-func (p *pager) nextPage(c *fabric.Ctx, n int, stats *Stats) ([]GroupRow, bool, error) {
+func (p *pager) nextPage(c *fabric.Ctx, n int, res *Result) (bool, error) {
+	stats := &res.Stats
 	var out []GroupRow
 	for len(out) < n {
 		gr, ok, err := p.pull(c, stats)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		if !ok {
 			break
@@ -661,32 +573,31 @@ func (p *pager) nextPage(c *fabric.Ctx, n int, stats *Stats) ([]GroupRow, bool, 
 	if r := int64(len(out)) + p.stream.resident(); r > stats.PeakGroups {
 		stats.PeakGroups = r
 	}
+	res.Groups = out
 	if p.done {
-		return out, false, nil
+		return false, nil
 	}
 	// Look one group ahead so an exactly-full page with nothing behind it
 	// ends the stream instead of issuing a dead continuation.
 	gr, ok, err := p.pull(c, stats)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		return out, false, nil
+	if err != nil || !ok {
+		return false, err
 	}
 	p.pending = &gr
-	return out, true, nil
+	return true, nil
 }
 
 func (p *pager) close(e *Engine) { p.stream.close(e) }
 
-// Order-by-aggregate spill: the top-K-groups form needs every group before
+// Order-by-aggregate runs: the top-K-groups form needs every group before
 // any aggregate order is final. The coordinator drains the run merge into a
-// buffer; past MaxWorkingSet buffered groups the buffer is sorted by the
-// aggregate orders (encoded key ascending as the tie-break — exactly the
-// stable sort over key-sorted input the in-memory path runs) and written to
-// the engine's objectstore as one run, keyed by big-endian sequence number
-// so sorted-order reads are sequence reads. The runs merge back lazily with
-// a Go comparator — byte order of the stored rows is never relied on.
+// buffer sorted by the aggregate orders with the encoded key as the
+// tie-break — the groups arrive key-sorted, so this is the order a stable
+// aggregate sort of the whole group set gives. Past MaxWorkingSet buffered
+// groups the sorted buffer is written to the engine's objectstore as one
+// run, keyed by big-endian sequence number so sorted-order reads are
+// sequence reads. The runs merge back lazily with a Go comparator — byte
+// order of the stored rows is never relied on.
 
 // spillRow is one finalized group with the encoded key that breaks
 // aggregate-order ties.
@@ -695,12 +606,11 @@ type spillRow struct {
 	gr  GroupRow
 }
 
-// spillRowLess orders finalized groups by the aggregate `_orderby` keys
-// (nulls last, exactly sortGroupsByAgg's comparator) with the encoded group
-// key as the final tie-break.
-func spillRowLess(a, b *spillRow, orders []OrderBy, aggIdx []int, aggs []Aggregate) bool {
-	for k, ob := range orders {
-		col := aggs[aggIdx[k]].Raw
+// spillRowLess is the engine's aggregate-order comparator: groups by the
+// aggregate `_orderby` keys (nulls last), then by encoded group key.
+func spillRowLess(a, b *spillRow, tp *VertexPattern) bool {
+	for k, ob := range tp.Orders {
+		col := tp.Aggs[tp.GroupOrder[k]].Raw
 		av, bv := a.gr.Aggregates[col], b.gr.Aggregates[col]
 		an, bn := av.IsNull(), bv.IsNull()
 		if an != bn {
@@ -717,12 +627,6 @@ func spillRowLess(a, b *spillRow, orders []OrderBy, aggIdx []int, aggs []Aggrega
 		}
 	}
 	return a.enc < b.enc
-}
-
-func sortSpillRows(rows []spillRow, tp *VertexPattern) {
-	sort.Slice(rows, func(i, j int) bool {
-		return spillRowLess(&rows[i], &rows[j], tp.Orders, tp.GroupOrder, tp.Aggs)
-	})
 }
 
 // marshal encodes one spilled group: [enc, key values..., aggregate
@@ -768,247 +672,116 @@ func spillSeqKey(i int) []byte {
 	return key[:]
 }
 
-// writeSpillRun persists one sorted buffer as an objectstore run table.
-func (e *Engine) writeSpillRun(rows []spillRow, tp *VertexPattern) (string, error) {
+// sortedRuns merges the order-by-aggregate runs — the spilled tables plus
+// the last in-memory buffer — into the ordered group stream.
+type sortedRuns struct {
+	e      *Engine
+	merge  kMerge[spillRow]
+	tables []string
+	work   time.Duration // merge cost per group; zero for a lone in-memory run
+}
+
+// spill sorts a full buffer and writes it to the objectstore as one run.
+func (sr *sortedRuns) spill(rows []spillRow, tp *VertexPattern) error {
+	e := sr.e
+	sort.Slice(rows, func(i, j int) bool { return sr.merge.less(&rows[i], &rows[j]) })
 	name := fmt.Sprintf("a1ql-spill-%d", e.spillSeq.Add(1))
 	t := e.spill.CreateTable(name, objectstore.BestEffort)
+	sr.tables = append(sr.tables, name)
 	for i := range rows {
 		if err := t.UpsertIfNewer(spillSeqKey(i), rows[i].marshal(tp.GroupBy, tp.Aggs), 1); err != nil {
-			e.spill.DropTable(name)
-			return "", err
+			return err
 		}
 	}
-	return name, nil
+	sr.merge.add(nil, e.spillPuller(t, tp))
+	return nil
+}
+
+// spillPuller reads a spilled run back GroupChunk rows at a time. The
+// chunk buffer is reused: the merge drains a chunk before it pulls the
+// next.
+func (e *Engine) spillPuller(t *objectstore.Table, tp *VertexPattern) func(*fabric.Ctx, *Stats) ([]spillRow, bool, error) {
+	n, next := t.Len(), 0
+	var buf []spillRow
+	return func(*fabric.Ctx, *Stats) ([]spillRow, bool, error) {
+		end := min(next+e.cfg.GroupChunk, n)
+		buf = buf[:0]
+		for ; next < end; next++ {
+			row, ok, err := t.Get(spillSeqKey(next))
+			if err != nil {
+				return nil, false, err
+			}
+			if !ok {
+				return nil, false, fmt.Errorf("a1ql: spill run missing row %d", next)
+			}
+			sr, err := unmarshalSpillRow(row.Value, tp.GroupBy, tp.Aggs)
+			if err != nil {
+				return nil, false, err
+			}
+			buf = append(buf, sr)
+		}
+		return buf, next < n, nil
+	}
 }
 
 // collectOrderedGroups drains the run merge for the order-by-aggregate
-// form. Groups buffer in memory up to MaxWorkingSet; overflow sorts and
-// spills the buffer as a run. With no overflow the buffer comes back
-// unsorted (memory path: one stable sort, identical to the ablation);
-// otherwise the final partial buffer is sorted too and rides as the
-// in-memory run of the returned spill merge.
-func (st *execState) collectOrderedGroups(qc *fabric.Ctx, cur *groupCursor, tp *VertexPattern) ([]spillRow, *spillMerge, error) {
+// form. Groups buffer in memory up to MaxWorkingSet; each full buffer is
+// sorted and spilled as a run, and the final partial buffer is sorted in
+// place as the last run.
+func (st *execState) collectOrderedGroups(qc *fabric.Ctx, cur *groupCursor, tp *VertexPattern) (*sortedRuns, error) {
 	e := st.engine
+	sr := &sortedRuns{e: e, merge: kMerge[spillRow]{
+		less: func(a, b *spillRow) bool { return spillRowLess(a, b, tp) },
+	}}
 	var buf []spillRow
-	var tables []string
-	drop := func() {
-		for _, name := range tables {
-			e.spill.DropTable(name)
-		}
-	}
 	for {
 		enc, gs, ok, err := cur.next(qc, &st.stats)
 		if err != nil {
-			drop()
-			return nil, nil, err
+			sr.close(e)
+			return nil, err
 		}
 		if !ok {
 			break
 		}
 		buf = append(buf, spillRow{enc: enc, gr: groupRowOf(gs, tp.GroupBy, tp.Aggs)})
 		if len(buf) >= e.cfg.MaxWorkingSet {
-			sortSpillRows(buf, tp)
-			name, err := e.writeSpillRun(buf, tp)
-			if err != nil {
-				drop()
-				return nil, nil, err
+			if err := sr.spill(buf, tp); err != nil {
+				sr.close(e)
+				return nil, err
 			}
-			tables = append(tables, name)
 			st.stats.GroupSpills++
-			if int64(len(buf)) > st.stats.PeakGroups {
-				st.stats.PeakGroups = int64(len(buf))
-			}
+			st.stats.PeakGroups = max(st.stats.PeakGroups, int64(len(buf)))
 			buf = buf[:0]
 		}
 	}
-	if len(tables) == 0 {
-		if int64(len(buf)) > st.stats.PeakGroups {
-			st.stats.PeakGroups = int64(len(buf))
-		}
-		return buf, nil, nil
+	st.stats.PeakGroups = max(st.stats.PeakGroups, int64(len(buf)))
+	sort.Slice(buf, func(i, j int) bool { return sr.merge.less(&buf[i], &buf[j]) })
+	sr.merge.add(buf, nil)
+	if len(sr.tables) > 0 {
+		// Reading spilled runs back is a merge; a lone in-memory run is a
+		// walk of the buffer the sort already paid for.
+		sr.work = e.cfg.CostMerge
 	}
-	sortSpillRows(buf, tp)
-	sm := &spillMerge{
-		e:      e,
-		tables: tables,
-		mem:    buf,
-		orders: tp.Orders,
-		aggIdx: tp.GroupOrder,
-		aggs:   tp.Aggs,
-		by:     tp.GroupBy,
-	}
-	for _, name := range tables {
-		t, err := e.spill.Table(name)
-		if err != nil {
-			drop()
-			return nil, nil, err
-		}
-		sm.srcs = append(sm.srcs, &spillSource{table: t, n: t.Len()})
-	}
-	return nil, sm, nil
+	return sr, nil
 }
 
-// spillSource reads one spilled run back in chunks of sequence keys.
-type spillSource struct {
-	table *objectstore.Table
-	n     int // total rows in the run
-	next  int // next sequence number to read
-	buf   []spillRow
-	pos   int
+func (sr *sortedRuns) nextRow(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error) {
+	h, err := sr.merge.head(c, stats)
+	if err != nil || h == nil {
+		return GroupRow{}, false, err
+	}
+	sr.merge.pop()
+	c.Work(sr.work)
+	return h.gr, true, nil
 }
 
-// spillMerge k-way merges spilled runs plus the in-memory tail run into the
-// globally ordered group stream, decoding one chunk per run at a time.
-type spillMerge struct {
-	e      *Engine
-	tables []string
-	srcs   []*spillSource
-	mem    []spillRow
-	memPos int
-	orders []OrderBy
-	aggIdx []int
-	aggs   []Aggregate
-	by     []FieldPath
-}
-
-func (sm *spillMerge) fill(s *spillSource) error {
-	if s.pos < len(s.buf) || s.next >= s.n {
-		return nil
-	}
-	end := s.next + sm.e.cfg.GroupChunk
-	if end > s.n {
-		end = s.n
-	}
-	s.buf = s.buf[:0]
-	for i := s.next; i < end; i++ {
-		row, ok, err := s.table.Get(spillSeqKey(i))
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("a1ql: spill run missing row %d", i)
-		}
-		sr, err := unmarshalSpillRow(row.Value, sm.by, sm.aggs)
-		if err != nil {
-			return err
-		}
-		s.buf = append(s.buf, sr)
-	}
-	s.next = end
-	s.pos = 0
-	return nil
-}
-
-func (sm *spillMerge) nextRow(c *fabric.Ctx, stats *Stats) (GroupRow, bool, error) {
-	best := -1
-	var bestRow *spillRow
-	for i, s := range sm.srcs {
-		if err := sm.fill(s); err != nil {
-			return GroupRow{}, false, err
-		}
-		if s.pos >= len(s.buf) {
-			continue
-		}
-		head := &s.buf[s.pos]
-		if bestRow == nil || spillRowLess(head, bestRow, sm.orders, sm.aggIdx, sm.aggs) {
-			best, bestRow = i, head
-		}
-	}
-	if sm.memPos < len(sm.mem) {
-		head := &sm.mem[sm.memPos]
-		if bestRow == nil || spillRowLess(head, bestRow, sm.orders, sm.aggIdx, sm.aggs) {
-			best, bestRow = -2, head
-		}
-	}
-	if bestRow == nil {
-		return GroupRow{}, false, nil
-	}
-	c.Work(sm.e.cfg.CostMerge)
-	gr := bestRow.gr
-	if best == -2 {
-		sm.memPos++
-	} else {
-		sm.srcs[best].pos++
-	}
-	return gr, true, nil
-}
-
-func (sm *spillMerge) resident() int64 {
-	n := int64(len(sm.mem) - sm.memPos)
-	for _, s := range sm.srcs {
-		n += int64(len(s.buf) - s.pos)
-	}
-	return n
-}
+func (sr *sortedRuns) resident() int64 { return sr.merge.resident() }
 
 // close drops the spilled run tables — on stream exhaustion, Release,
 // expiry, or coordinator crash.
-func (sm *spillMerge) close(e *Engine) {
-	for _, name := range sm.tables {
+func (sr *sortedRuns) close(e *Engine) {
+	for _, name := range sr.tables {
 		e.spill.DropTable(name)
 	}
-	sm.tables = nil
-}
-
-// pageGroupSlice applies the terminal _skip/_limit to a fully materialized
-// group list and pages the overflow through the continuation cache — the
-// shared tail of the map-accumulate path and the no-spill ordered path.
-func (e *Engine) pageGroupSlice(qc *fabric.Ctx, res *Result, grows []GroupRow, tp *VertexPattern, pageSize int) {
-	if skip := tp.Skip; skip > 0 {
-		if skip >= len(grows) {
-			grows = nil
-		} else {
-			grows = grows[skip:]
-		}
-	}
-	if tp.Limit > 0 && len(grows) > tp.Limit {
-		grows = grows[:tp.Limit]
-	}
-	if len(grows) > pageSize {
-		token := e.caches[qc.M].put(qc, e.cfg.ResultTTL, nil, grows[pageSize:])
-		res.Continuation = encodeToken(qc.M, token, pageSize)
-		grows = grows[:pageSize]
-	}
-	res.Groups = grows
-}
-
-// streamGroups emits the first page of a streamed grouped result. The
-// unordered form pages the merge cursor directly — later pages pull more of
-// the runs through the continuation entry. The aggregate-`_orderby` form
-// drains the cursor first (spilling sorted runs past MaxWorkingSet): with
-// no spill the buffer sorts and pages in memory exactly like the ablation
-// path; with spill the runs merge back lazily behind the continuation.
-func (st *execState) streamGroups(qc *fabric.Ctx, res *Result, cur *groupCursor, tp *VertexPattern, pageSize int) error {
-	e := st.engine
-	var stream groupStream = cur
-	if len(tp.Orders) > 0 {
-		mem, sm, err := st.collectOrderedGroups(qc, cur, tp)
-		if err != nil {
-			return err
-		}
-		if sm == nil {
-			grows := make([]GroupRow, len(mem))
-			for i := range mem {
-				grows[i] = mem[i].gr
-			}
-			sortGroupsByAgg(grows, tp.Orders, tp.GroupOrder, tp.Aggs)
-			e.pageGroupSlice(qc, res, grows, tp, pageSize)
-			return nil
-		}
-		stream = sm
-	}
-	pg := newPager(stream, tp)
-	page, more, err := pg.nextPage(qc, pageSize, &st.stats)
-	if err != nil {
-		pg.close(e)
-		return err
-	}
-	if more {
-		token := e.caches[qc.M].putStream(qc, e.cfg.ResultTTL, pg)
-		res.Continuation = encodeToken(qc.M, token, pageSize)
-	} else {
-		pg.close(e)
-	}
-	res.Groups = page
-	return nil
+	sr.tables = nil
 }

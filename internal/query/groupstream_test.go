@@ -2,20 +2,131 @@ package query
 
 import (
 	"errors"
+	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"a1/internal/bond"
+	"a1/internal/core"
+	"a1/internal/fabric"
 )
 
-// Streamed grouped aggregation: parity with the map-accumulate path,
+// Streamed grouped aggregation: parity with a naive reference evaluator,
 // `_having` surface + binding, continuation lifecycle for parked group
 // runs, and spill-backed completion of ordered queries past
 // MaxWorkingSet. The skew env has 81 groups by category: "hot" with 120
 // members and 80 singleton tails (tie-heavy on _count). Integer
-// aggregates only — float sums are merge-order sensitive on both paths.
+// aggregates only — float sums are merge-order sensitive.
+
+// groupRef is the naive evaluation of one grouped skew-env document: a
+// full scan of the product vertices through core, grouping in a map, key
+// sort, a stable descending sort on one aggregate, then _having,
+// _skip and _limit.
+type groupRef struct {
+	byScore bool     // group by (category, score) instead of category
+	aggs    []string // of _count(*), _sum(score), _min(score), _max(score)
+	having  func(agg map[string]int64) bool
+	orderBy string // aggregate sorted descending; "" keeps key order
+	skip    int
+	limit   int
+}
+
+func (ref groupRef) eval(t *testing.T, g *core.Graph, c *fabric.Ctx) []GroupRow {
+	t.Helper()
+	tx := g.Store().Farm().CreateReadTransaction(c)
+	var ptrs []core.VertexPtr
+	if err := g.ScanVerticesByType(tx, "product", func(_ bond.Value, vp core.VertexPtr) bool {
+		ptrs = append(ptrs, vp)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	vs, err := g.ReadVertices(tx, ptrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct {
+		cat   string
+		score int64
+	}
+	accs := map[key]map[string]int64{}
+	for _, v := range vs {
+		cat, _ := v.Data.Field(1)
+		sv, _ := v.Data.Field(2)
+		score := sv.AsInt()
+		k := key{cat: cat.AsString()}
+		if ref.byScore {
+			k.score = score
+		}
+		a := accs[k]
+		if a == nil {
+			a = map[string]int64{"_min(score)": math.MaxInt64, "_max(score)": math.MinInt64}
+			accs[k] = a
+		}
+		a["_count(*)"]++
+		a["_sum(score)"] += score
+		a["_min(score)"] = min(a["_min(score)"], score)
+		a["_max(score)"] = max(a["_max(score)"], score)
+	}
+	keys := make([]key, 0, len(accs))
+	for k := range accs {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].cat != keys[j].cat {
+			return keys[i].cat < keys[j].cat
+		}
+		return keys[i].score < keys[j].score
+	})
+	var out []GroupRow
+	for _, k := range keys {
+		a := accs[k]
+		if ref.having != nil && !ref.having(a) {
+			continue
+		}
+		gr := GroupRow{
+			Keys:       map[string]bond.Value{"category": bond.String(k.cat)},
+			Aggregates: map[string]bond.Value{},
+		}
+		if ref.byScore {
+			gr.Keys["score"] = bond.Int64(k.score)
+		}
+		for _, name := range ref.aggs {
+			gr.Aggregates[name] = bond.Int64(a[name])
+		}
+		out = append(out, gr)
+	}
+	if ref.orderBy != "" {
+		sort.SliceStable(out, func(i, j int) bool {
+			return out[i].Aggregates[ref.orderBy].AsInt() > out[j].Aggregates[ref.orderBy].AsInt()
+		})
+	}
+	out = out[min(ref.skip, len(out)):]
+	if ref.limit > 0 && len(out) > ref.limit {
+		out = out[:ref.limit]
+	}
+	return out
+}
+
+// drainGroups executes doc and fetches every continuation page.
+func drainGroups(t *testing.T, e *Engine, g *core.Graph, c *fabric.Ctx, doc string) []GroupRow {
+	t.Helper()
+	var got []GroupRow
+	res, err := e.Execute(c, g, []byte(doc))
+	for {
+		if err != nil {
+			t.Fatalf("Execute(%s): %v", doc, err)
+		}
+		got = append(got, res.Groups...)
+		if res.Continuation == "" {
+			return got
+		}
+		res, err = e.Fetch(c, res.Continuation)
+	}
+}
 
 func sameGroups(t *testing.T, label string, got, want []GroupRow) {
 	t.Helper()
@@ -44,56 +155,46 @@ func sameGroups(t *testing.T, label string, got, want []GroupRow) {
 }
 
 func TestGroupStreamParity(t *testing.T) {
-	stream, mapAcc, g, c := newSkewEnv(t)
+	stream, _, g, c := newSkewEnv(t)
 	stream.cfg.PageSize = 7
 	stream.cfg.GroupChunk = 8
-	mapAcc.cfg.NoGroupStreaming = true
 
-	docs := []string{
+	cases := []struct {
+		doc string
+		ref groupRef
+	}{
 		// Unordered high-tie rollup.
-		`{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_sum(score)"]}`,
+		{`{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_sum(score)"]}`,
+			groupRef{aggs: []string{"_count(*)", "_sum(score)"}}},
 		// Multi-key grouping.
-		`{"_type": "product", "_groupby": ["category", "score"], "_select": ["_count(*)", "_min(score)"]}`,
+		{`{"_type": "product", "_groupby": ["category", "score"], "_select": ["_count(*)", "_min(score)"]}`,
+			groupRef{byScore: true, aggs: []string{"_count(*)", "_min(score)"}}},
 		// Ordered by aggregate with 80 ties on count=1.
-		`{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_max(score)"], "_orderby": "-_count(*)"}`,
+		{`{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_max(score)"], "_orderby": "-_count(*)"}`,
+			groupRef{aggs: []string{"_count(*)", "_max(score)"}, orderBy: "_count(*)"}},
 		// Skip + limit through the pager.
-		`{"_type": "product", "_groupby": "category", "_select": ["_count(*)"], "_skip": 5, "_limit": 30}`,
+		{`{"_type": "product", "_groupby": "category", "_select": ["_count(*)"], "_skip": 5, "_limit": 30}`,
+			groupRef{aggs: []string{"_count(*)"}, skip: 5, limit: 30}},
 		// _having re-checked at the coordinator after the merge.
-		`{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_max(score)"], "_having": {"_max(score)": {"_ge": 100}}}`,
+		{`{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_max(score)"], "_having": {"_max(score)": {"_ge": 100}}}`,
+			groupRef{aggs: []string{"_count(*)", "_max(score)"},
+				having: func(a map[string]int64) bool { return a["_max(score)"] >= 100 }}},
 		// _having on _count: only "hot" survives.
-		`{"_type": "product", "_groupby": "category", "_select": ["_count(*)"], "_having": {"_count(*)": {"_gt": 1}}}`,
+		{`{"_type": "product", "_groupby": "category", "_select": ["_count(*)"], "_having": {"_count(*)": {"_gt": 1}}}`,
+			groupRef{aggs: []string{"_count(*)"},
+				having: func(a map[string]int64) bool { return a["_count(*)"] > 1 }}},
 	}
-	for _, doc := range docs {
-		var fast []GroupRow
-		res, err := stream.Execute(c, g, []byte(doc))
-		for {
-			if err != nil {
-				t.Fatalf("stream Execute(%s): %v", doc, err)
-			}
-			fast = append(fast, res.Groups...)
-			if res.Continuation == "" {
-				break
-			}
-			res, err = stream.Fetch(c, res.Continuation)
-		}
-		slow, err := mapAcc.Execute(c, g, []byte(doc))
-		if err != nil {
-			t.Fatalf("map Execute(%s): %v", doc, err)
-		}
-		if slow.Continuation != "" {
-			t.Fatalf("map path paged unexpectedly (PageSize default); doc %s", doc)
-		}
-		sameGroups(t, doc, fast, slow.Groups)
+	for _, tc := range cases {
+		sameGroups(t, tc.doc, drainGroups(t, stream, g, c, tc.doc), tc.ref.eval(t, g, c))
 	}
 }
 
-// TestGroupStreamResidency pins the tentpole claim: the streaming
-// coordinator never holds the full group set, the map path always does.
+// TestGroupStreamResidency pins the streaming claim: the coordinator never
+// holds the full group set of 81.
 func TestGroupStreamResidency(t *testing.T) {
-	stream, mapAcc, g, c := newSkewEnv(t)
+	stream, _, g, c := newSkewEnv(t)
 	stream.cfg.PageSize = 10
 	stream.cfg.GroupChunk = 8
-	mapAcc.cfg.NoGroupStreaming = true
 	doc := `{"_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`
 
 	res, err := stream.Execute(c, g, []byte(doc))
@@ -110,13 +211,6 @@ func TestGroupStreamResidency(t *testing.T) {
 			peak = res.Stats.PeakGroups
 		}
 		shipped += res.Stats.GroupsShipped
-	}
-	slow, err := mapAcc.Execute(c, g, []byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow.Stats.PeakGroups != 81 {
-		t.Fatalf("map path PeakGroups = %d, want 81", slow.Stats.PeakGroups)
 	}
 	if peak <= 0 || peak >= 81 {
 		t.Fatalf("streaming PeakGroups = %d, want in (0, 81): O(page + machines·chunk), not O(groups)", peak)
@@ -212,33 +306,137 @@ func TestHavingExplain(t *testing.T) {
 // pull after expiry is a restartable ErrBadToken.
 func TestGroupRunStoreExpiry(t *testing.T) {
 	e, _, _, c := newSkewEnv(t)
-	rs := e.runs[c.M]
+	runs := e.runs[c.M]
 	gs := &groupState{}
-	id := rs.put(c, 20*time.Millisecond, []groupEntry{{enc: "a", gs: gs}, {enc: "b", gs: gs}})
+	e.cfg.GroupChunk = 1
+	id := runs.put(c, 20*time.Millisecond, []groupEntry{{enc: "a", gs: gs}, {enc: "b", gs: gs}})
 	if n := e.PendingRuns(c.M); n != 1 {
 		t.Fatalf("PendingRuns = %d, want 1", n)
 	}
 	// Partial pull leaves the rest parked.
-	part, more, err := rs.pull(c, id, 1)
+	part, more, err := e.pullRun(c, id)
 	if err != nil || len(part) != 1 || !more {
-		t.Fatalf("pull(1) = %d entries, more=%v, err=%v", len(part), more, err)
+		t.Fatalf("pullRun(chunk 1) = %d entries, more=%v, err=%v", len(part), more, err)
 	}
 	time.Sleep(30 * time.Millisecond)
-	if n := rs.expire(c.Now()); n != 1 {
+	if n := runs.expire(c.Now()); n != 1 {
 		t.Fatalf("expire swept %d runs, want 1", n)
 	}
-	if _, _, err := rs.pull(c, id, 1); !errors.Is(err, ErrBadToken) {
-		t.Fatalf("pull(expired) = %v, want ErrBadToken", err)
+	if _, _, err := e.pullRun(c, id); !errors.Is(err, ErrBadToken) {
+		t.Fatalf("pullRun(expired) = %v, want ErrBadToken", err)
 	}
 
-	// Draining a run fully removes it without waiting for the sweeper.
-	id = rs.put(c, time.Minute, []groupEntry{{enc: "a", gs: gs}})
-	rest, more, err := rs.pull(c, id, 8)
+	// Draining a run fully removes it without waiting for expiry.
+	e.cfg.GroupChunk = 8
+	id = runs.put(c, time.Minute, []groupEntry{{enc: "a", gs: gs}})
+	rest, more, err := e.pullRun(c, id)
 	if err != nil || len(rest) != 1 || more {
-		t.Fatalf("pull(all) = %d entries, more=%v, err=%v", len(rest), more, err)
+		t.Fatalf("pullRun(all) = %d entries, more=%v, err=%v", len(rest), more, err)
 	}
 	if n := e.PendingRuns(c.M); n != 0 {
 		t.Fatalf("PendingRuns after drain = %d, want 0", n)
+	}
+
+	// Every put expires the store's stale tails: nothing else needs to
+	// sweep them.
+	e, _, _, c = newSkewEnv(t)
+	runs = e.runs[c.M]
+	const ttl = 20 * time.Millisecond
+	runs.put(c, ttl, []groupEntry{{enc: "a", gs: gs}})
+	time.Sleep(ttl + 10*time.Millisecond)
+	runs.put(c, ttl, []groupEntry{{enc: "b", gs: gs}})
+	if n := e.PendingRuns(c.M); n != 1 {
+		t.Fatalf("PendingRuns after a put past the TTL = %d, want 1 (the new tail)", n)
+	}
+}
+
+// TestCrashDuringPagingLeavesNothing: a crash (DropResultsOn) that lands
+// while a pull or a Fetch has its entry claimed must not let the page put
+// the entry back afterwards — the crash wiped it. Run under -race.
+func TestCrashDuringPagingLeavesNothing(t *testing.T) {
+	// The window itself, step by step: claim, crash, restore.
+	var dropped int
+	s := newTTLStore(func([]groupEntry) { dropped++ })
+	e, _, g, c := newSkewEnv(t)
+	id := s.put(c, time.Minute, []groupEntry{{enc: "a"}})
+	ent, ok := s.claim(c, id)
+	if !ok {
+		t.Fatal("claim of a live entry failed")
+	}
+	s.reset()
+	s.restore(id, ent)
+	if n := s.count(); n != 0 || dropped != 1 {
+		t.Fatalf("after claim/reset/restore: %d entries, %d dropped; want 0, 1", n, dropped)
+	}
+
+	// Worker run tails pulled while their machine crashes.
+	e.cfg.GroupChunk = 1
+	tail := make([]groupEntry, 200)
+	for i := range tail {
+		tail[i] = groupEntry{enc: string(rune('a' + i%26)), gs: &groupState{}}
+	}
+	for round := 0; round < 20; round++ {
+		id := e.runs[c.M].put(c, time.Minute, tail)
+		var wg sync.WaitGroup
+		started := make(chan struct{}, 2)
+		for p := 0; p < 2; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					_, more, err := e.pullRun(c, id)
+					if err != nil || !more {
+						return
+					}
+					select {
+					case started <- struct{}{}:
+					default:
+					}
+				}
+			}()
+		}
+		<-started // crash mid-stream
+		e.DropResultsOn(c.M)
+		wg.Wait()
+		if n := e.PendingRuns(c.M); n != 0 {
+			t.Fatalf("round %d: PendingRuns after crash = %d, want 0", round, n)
+		}
+	}
+
+	// Cursors fetched while their coordinator crashes.
+	e.cfg.GroupChunk = 8
+	doc := `{"_hints": {"page_size": 5}, "_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`
+	for round := 0; round < 20; round++ {
+		res, err := e.Execute(c, g, []byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		started := make(chan struct{}, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for token := res.Continuation; token != ""; {
+				page, err := e.Fetch(c, token)
+				if err != nil {
+					if !errors.Is(err, ErrBadToken) {
+						t.Error(err)
+					}
+					return
+				}
+				token = page.Continuation
+				select {
+				case started <- struct{}{}:
+				default:
+				}
+			}
+		}()
+		<-started // crash mid-stream
+		e.DropResultsOn(c.M)
+		wg.Wait()
+		if n := e.PendingResults(c.M); n != 0 {
+			t.Fatalf("round %d: PendingResults after crash = %d, want 0", round, n)
+		}
 	}
 }
 
@@ -320,27 +518,16 @@ func TestGroupStreamSweepUnderConcurrentFetch(t *testing.T) {
 }
 
 // TestGroupStreamSpill: an ordered grouped query whose full group set
-// exceeds MaxWorkingSet fast-fails on the map path but completes on the
-// streaming path by spilling sorted runs to the object store.
+// exceeds MaxWorkingSet completes by spilling sorted runs to the object
+// store, in the reference order.
 func TestGroupStreamSpill(t *testing.T) {
-	stream, mapAcc, g, c := newSkewEnv(t)
+	stream, _, g, c := newSkewEnv(t)
 	doc := `{"_type": "product", "_groupby": "category", "_select": ["_sum(score)"], "_orderby": "-_sum(score)"}`
-
-	// Reference: unconstrained map-accumulate ablation.
-	mapAcc.cfg.NoGroupStreaming = true
-	ref, err := mapAcc.Execute(c, g, []byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := groupRef{aggs: []string{"_sum(score)"}, orderBy: "_sum(score)"}.eval(t, g, c)
 
 	// 81 groups > 40: large enough that no single worker's partial set
 	// trips the per-batch check, small enough that the coordinator must
 	// spill the sorted buffer (twice) instead of holding all 81.
-	mapAcc.cfg.MaxWorkingSet = 40
-	if _, err := mapAcc.Execute(c, g, []byte(doc)); !errors.Is(err, ErrWorkingSet) {
-		t.Fatalf("map path past MaxWorkingSet = %v, want ErrWorkingSet", err)
-	}
-
 	stream.cfg.MaxWorkingSet = 40
 	stream.cfg.PageSize = 10
 	var got []GroupRow
@@ -357,10 +544,10 @@ func TestGroupStreamSpill(t *testing.T) {
 		}
 		res, err = stream.Fetch(c, res.Continuation)
 	}
-	if spills == 0 {
-		t.Fatal("GroupSpills = 0, want > 0 (the query must have spilled to complete)")
+	if spills != 2 {
+		t.Fatalf("GroupSpills = %d, want 2 (81 groups past a 40-group working set)", spills)
 	}
-	sameGroups(t, "spilled ordered groups", got, ref.Groups)
+	sameGroups(t, "spilled ordered groups", got, ref)
 	if names := stream.spill.TableNames(); len(names) != 0 {
 		t.Fatalf("spill tables leaked after drain: %v", names)
 	}

@@ -33,13 +33,13 @@ import (
 // mid-expansion, so everything an iteration needs hangs off it.
 type recurseRun struct {
 	st   *execState
-	host *VertexPattern  // level hosting the `_recurse` clause
-	term *VertexPattern  // the `_vertex` terminal (output filter + shaping)
+	host *VertexPattern // level hosting the `_recurse` clause
+	term *VertexPattern // the `_vertex` terminal (output filter + shaping)
 	rp   *RecursePattern
 
-	// visited is the per-machine dedup state (nil under NoRecurseDedup):
-	// each map is touched only by its owner's batch goroutine inside one
-	// iteration, and iterations are sequential, so no lock is needed.
+	// visited is the per-machine dedup state: each map is touched only by
+	// its owner's batch goroutine inside one iteration, and iterations are
+	// sequential, so no lock is needed.
 	visited []map[farm.Addr]bool
 
 	cur       []core.VertexPtr // candidates for iteration k
@@ -52,13 +52,11 @@ type recurseRun struct {
 	done      bool
 }
 
-// recursePager parks a mid-flight expansion behind a continuation token:
-// Fetch claims the cache entry, steps the expansion unlocked (iterations
-// are fabric round trips — no local lock may be held across them), and
-// reinserts the entry while more remains. It holds its own snapshot pin
-// so the versions the expansion reads survive the issuing query's return;
-// close is idempotent, so the sweeper, Release, and a failing Fetch can
-// all tear it down safely.
+// recursePager is the pageSource of a mid-flight expansion: each page
+// steps the parked expansion until a page of rows is buffered (Fetch runs
+// it unlocked — iterations are fabric round trips). It holds its own
+// snapshot pin so the versions the expansion reads survive the issuing
+// query's return, until close releases it; close is idempotent.
 type recursePager struct {
 	rr    *recurseRun
 	rows  []Row // emitted but not yet returned
@@ -68,15 +66,13 @@ type recursePager struct {
 
 // execRecurse runs the `_recurse` hosted at pats[level]. It returns the
 // emitted rows and aggregate partials of a completed expansion — or, when
-// the unshaped result outgrew a page, the first page plus a pager holding
+// the unshaped result outgrew a page, a pager holding the rows so far and
 // the expansion mid-flight.
 func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, host, term *VertexPattern, level, pageSize int) ([]Row, []aggState, *recursePager, error) {
 	e := st.engine
 	rp := host.Recurse
-	rr := &recurseRun{st: st, host: host, term: term, rp: rp, k: 1, termLevel: level + 1, iterBase: -1}
-	if !e.cfg.NoRecurseDedup {
-		rr.visited = make([]map[farm.Addr]bool, e.store.Farm().Fabric().Machines())
-	}
+	rr := &recurseRun{st: st, host: host, term: term, rp: rp, k: 1, termLevel: level + 1, iterBase: -1,
+		visited: make([]map[farm.Addr]bool, e.store.Farm().Fabric().Machines())}
 	if n := len(st.levels); rp.Max > 0 && n >= rp.Max {
 		rr.iterBase = n - rp.Max
 	}
@@ -100,9 +96,8 @@ func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, host
 	// A result with no ordering, aggregation, or _limit/_skip shaping can
 	// stream in discovery order: page out as soon as a page exists and
 	// park the rest of the expansion behind the continuation. Anything
-	// shaped (or the dedup-free ablation, whose duplicates need the full
-	// set) runs to completion.
-	stream := rr.visited != nil && len(term.Orders) == 0 && len(term.Aggs) == 0 &&
+	// shaped runs to completion.
+	stream := len(term.Orders) == 0 && len(term.Aggs) == 0 &&
 		len(term.GroupBy) == 0 && term.Limit == 0 && term.Skip == 0
 	var rows []Row
 	for !rr.done {
@@ -113,21 +108,15 @@ func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, host
 		}
 		rows = append(rows, out...)
 		if stream && len(rows) > pageSize && !rr.done {
-			pgr := &recursePager{rr: rr, rows: rows[pageSize:], unpin: e.store.Farm().PinSnapshot(st.ts)}
-			return rows[:pageSize], nil, pgr, nil
+			return nil, nil, &recursePager{rr: rr, rows: rows, unpin: e.store.Farm().PinSnapshot(st.ts)}, nil
 		}
 		// Ordered-limit accumulation: with the visited set each vertex
 		// appears once, so pruning to the top K(+skip) loses nothing.
-		if rr.visited != nil && st.keep > 0 && len(rows) > 2*st.keep {
+		if st.keep > 0 && len(rows) > 2*st.keep {
 			rows = topK(st.bufs, rows, term.Orders, st.keep)
 		}
 	}
 	rr.release()
-	if rr.visited == nil {
-		// Dedup-free ablation: the same vertex is emitted once per path;
-		// iterations append in depth order, so first-kept is shallowest.
-		rows = dedupRows(st.bufs, rows)
-	}
 	st.setActRows(rr.termLevel, len(rows))
 	return rows, rr.aggs, nil, nil
 }
@@ -339,12 +328,10 @@ func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core
 				continue
 			}
 		}
-		if visited != nil {
-			if visited[vp.Addr] {
-				continue
-			}
-			visited[vp.Addr] = true
+		if visited[vp.Addr] {
+			continue
 		}
+		visited[vp.Addr] = true
 		accepted++
 		//lint:ignore a1/batchreads machine-local batch: seedBatch runs owner-side on a PrimaryOf-partitioned batch; half-edge enumeration below this helper reads owner-resident objects
 		next, err := st.traverseEdge(sc, tx, vp, rr.rp.Edge)
@@ -385,19 +372,15 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 	// Visited filter first, so the surviving batch read stays chunked and
 	// the dedup saving shows up as vertices never read at all.
 	visited := rr.visitedFor(m)
-	work := batch
-	if visited != nil {
-		filtered := st.bufs.getPtrs()
-		for _, vp := range batch {
-			if visited[vp.Addr] {
-				continue
-			}
-			visited[vp.Addr] = true
-			filtered = append(filtered, vp)
+	work := st.bufs.getPtrs()
+	for _, vp := range batch {
+		if visited[vp.Addr] {
+			continue
 		}
-		work = filtered
-		defer st.bufs.putPtrs(filtered)
+		visited[vp.Addr] = true
+		work = append(work, vp)
 	}
+	defer st.bufs.putPtrs(work)
 	const readChunk = 256
 	var vtxs []*core.Vertex
 	var schema *bond.Schema
@@ -485,9 +468,6 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 // Safe unlocked: one goroutine per machine per iteration, iterations in
 // sequence.
 func (rr *recurseRun) visitedFor(m fabric.MachineID) map[farm.Addr]bool {
-	if rr.visited == nil {
-		return nil
-	}
 	if rr.visited[m] == nil {
 		rr.visited[m] = rr.st.bufs.getAddrSet()
 	}
@@ -518,7 +498,8 @@ func (rr *recurseRun) release() {
 // lookahead, so an exactly-full final page ends the stream) is buffered
 // or the expansion dries up. Work done here is accounted into the fetch's
 // own Stats, not the issuing query's.
-func (p *recursePager) nextPage(c *fabric.Ctx, n int, stats *Stats) ([]Row, bool, error) {
+func (p *recursePager) nextPage(c *fabric.Ctx, n int, res *Result) (bool, error) {
+	stats := &res.Stats
 	var ops fabric.OpStats
 	qc := c.WithStats(&ops)
 	st := p.rr.st
@@ -543,22 +524,22 @@ func (p *recursePager) nextPage(c *fabric.Ctx, n int, stats *Stats) ([]Row, bool
 	for len(p.rows) <= n && !p.rr.done {
 		out, err := p.rr.step(qc)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		p.rows = append(p.rows, out...)
 	}
-	page := p.rows
-	if len(page) > n {
-		page = page[:n]
+	res.Rows = p.rows
+	if len(p.rows) > n {
+		res.Rows = p.rows[:n]
 		p.rows = p.rows[n:]
 	} else {
 		p.rows = nil
 	}
-	return page, len(p.rows) > 0 || !p.rr.done, nil
+	return len(p.rows) > 0 || !p.rr.done, nil
 }
 
-// close releases the expansion's state: idempotent, so Fetch error paths,
-// Release, the sweeper, and a coordinator drop can all call it.
+// close releases the expansion's state and its snapshot pin; it is
+// idempotent.
 func (p *recursePager) close(*Engine) {
 	p.once.Do(func() {
 		p.rr.release()

@@ -16,9 +16,9 @@ import (
 )
 
 // `_recurse` coverage: distance-window semantics against a BFS oracle on
-// a cyclic fixture, traversal-pruning vs output-filtering, the dedup
-// ablation, paged-vs-unpaged parity, and the continuation lifecycle of a
-// mid-flight expansion.
+// a cyclic fixture, traversal-pruning vs output-filtering, exact dedup,
+// paged-vs-unpaged parity, and the continuation lifecycle of a mid-flight
+// expansion.
 
 const recurseN = 36
 
@@ -301,11 +301,16 @@ func TestRecurseCountAggregate(t *testing.T) {
 	}
 }
 
-func TestRecurseDedupBeatsNaive(t *testing.T) {
-	naiveCfg := DefaultConfig()
-	naiveCfg.NoRecurseDedup = true
-	reads := func(cfg Config, max int) int64 {
-		e, g, c := newRecurseEnv(t, cfg)
+// TestRecurseDedupReadsReachableOnce: the per-machine visited sets make
+// dedup exact — summed over every page, the expansion reads each vertex
+// within `_max` hops at most once, plus the root, however many paths of
+// the cyclic fixture lead to it.
+func TestRecurseDedupReadsReachableOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PageSize = 4 // page mid-expansion too
+	e, g, c := newRecurseEnv(t, cfg)
+	dist := bfsDist(recurseEdges(), 0, false, -1)
+	for max := 2; max <= 5; max++ {
 		res, err := e.Execute(c, g, []byte(recurseDoc(recurseID(0), 1, max, "")))
 		if err != nil {
 			t.Fatal(err)
@@ -317,15 +322,9 @@ func TestRecurseDedupBeatsNaive(t *testing.T) {
 			}
 			n += res.Stats.VerticesRead
 		}
-		return n
-	}
-	gap2 := reads(naiveCfg, 2) - reads(DefaultConfig(), 2)
-	gap5 := reads(naiveCfg, 5) - reads(DefaultConfig(), 5)
-	if gap2 < 0 || gap5 <= gap2 {
-		t.Fatalf("dedup saving must grow with _max: gap(_max=2)=%d, gap(_max=5)=%d", gap2, gap5)
-	}
-	if reads(DefaultConfig(), 5) >= reads(naiveCfg, 5) {
-		t.Fatalf("dedup must read strictly fewer vertices than naive")
+		if bound := int64(len(oracleSet(dist, 1, max)) + 1); n > bound {
+			t.Errorf("_max=%d: %d vertex reads, want at most %d (reachable set + root)", max, n, bound)
+		}
 	}
 }
 
@@ -500,20 +499,20 @@ func TestRecurseWorkingSetCap(t *testing.T) {
 func TestRecurseValidationErrors(t *testing.T) {
 	bad := []string{
 		`{"id": "p00", "_recurse": {"_type": "ref", "_min": 3, "_max": 2, "_vertex": {}}}`,
-		`{"id": "p00", "_recurse": {"_type": "ref", "_vertex": {}}}`,                                  // missing _max
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 99, "_vertex": {}}}`,                      // over the depth cap
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 0, "_vertex": {}}}`,                       // _max < 1
-		`{"id": "p00", "_recurse": {"_type": "ref", "_min": 0, "_max": 2, "_vertex": {}}}`,            // _min < 1
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_dir": "sideways", "_vertex": {}}}`,   // bad _dir
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_shortest": "yes", "_vertex": {}}}`,   // _shortest not bool
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2}, "_out_edge": {"_type": "ref"}}`,       // recurse + edge on one level
-		`{"id": "p00", "_select": ["id"], "_recurse": {"_type": "ref", "_max": 2, "_vertex": {}}}`,    // shaped host
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"id": "p01"}}}`,            // id on the terminal
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_out_edge": {"_type": "ref", "_vertex": {}}}}}`, // non-terminal _vertex
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_recurse": {"_type": "ref", "_max": 2, "_vertex": {}}}}}`, // nested recursion
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_groupby": "rank"}}}`,     // grouped terminal
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_match": [{"_out_edge": {"_type": "ref"}}]}}}`, // _match on terminal
-		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_shortest": true, "_vertex": {"_select": ["_count(*)"]}}}`, // shortest + aggregate
+		`{"id": "p00", "_recurse": {"_type": "ref", "_vertex": {}}}`,                                                                      // missing _max
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 99, "_vertex": {}}}`,                                                          // over the depth cap
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 0, "_vertex": {}}}`,                                                           // _max < 1
+		`{"id": "p00", "_recurse": {"_type": "ref", "_min": 0, "_max": 2, "_vertex": {}}}`,                                                // _min < 1
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_dir": "sideways", "_vertex": {}}}`,                                       // bad _dir
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_shortest": "yes", "_vertex": {}}}`,                                       // _shortest not bool
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2}, "_out_edge": {"_type": "ref"}}`,                                           // recurse + edge on one level
+		`{"id": "p00", "_select": ["id"], "_recurse": {"_type": "ref", "_max": 2, "_vertex": {}}}`,                                        // shaped host
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"id": "p01"}}}`,                                                // id on the terminal
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_out_edge": {"_type": "ref", "_vertex": {}}}}}`,               // non-terminal _vertex
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_recurse": {"_type": "ref", "_max": 2, "_vertex": {}}}}}`,     // nested recursion
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_groupby": "rank"}}}`,                                         // grouped terminal
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_vertex": {"_match": [{"_out_edge": {"_type": "ref"}}]}}}`,                // _match on terminal
+		`{"id": "p00", "_recurse": {"_type": "ref", "_max": 2, "_shortest": true, "_vertex": {"_select": ["_count(*)"]}}}`,                // shortest + aggregate
 		`{"id": "p00", "_match": [{"_out_edge": {"_type": "ref", "_vertex": {"_recurse": {"_type": "ref", "_max": 2, "_vertex": {}}}}}]}`, // recursion inside _match
 	}
 	for _, doc := range bad {

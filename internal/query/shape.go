@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"a1/internal/bond"
+	"a1/internal/fabric"
 )
 
 // Result shaping: distributed partial aggregation (scalar and grouped) and
@@ -162,19 +163,6 @@ func accumGroup(groups map[string]*groupState, by []FieldPath, aggs []Aggregate,
 	return enc
 }
 
-// mergeGroupStates folds a batch's group partials into the coordinator's
-// running map.
-func mergeGroupStates(dst, src map[string]*groupState, aggs []Aggregate) {
-	for k, s := range src {
-		d := dst[k]
-		if d == nil {
-			dst[k] = s
-			continue
-		}
-		mergeAggStates(d.aggs, s.aggs, aggs)
-	}
-}
-
 // GroupRow is one `_groupby` result group: its key values (keyed by the
 // `_groupby` entry verbatim) and its finalized aggregates (keyed by the
 // `_select` entry verbatim).
@@ -193,51 +181,6 @@ func groupRowOf(gs *groupState, by []FieldPath, aggs []Aggregate) GroupRow {
 		gr.Keys[fp.Raw] = gs.keys[i]
 	}
 	return gr
-}
-
-// finalizeGroups converts merged group states into sorted result groups
-// (ascending by group key).
-func finalizeGroups(groups map[string]*groupState, by []FieldPath, aggs []Aggregate) []GroupRow {
-	encs := make([]string, 0, len(groups))
-	for k := range groups {
-		encs = append(encs, k)
-	}
-	sort.Strings(encs)
-	out := make([]GroupRow, 0, len(encs))
-	for _, enc := range encs {
-		out = append(out, groupRowOf(groups[enc], by, aggs))
-	}
-	return out
-}
-
-// sortGroupsByAgg orders finalized groups by aggregate columns — the
-// `_orderby`+`_groupby` top-K-groups form. Group partials must be fully
-// merged before any aggregate is final, so the sort (and the `_limit`
-// pruning that follows it) happens at the coordinator merge, never at the
-// workers. finalizeGroups produced the groups ascending by key and the
-// sort is stable, so aggregate ties keep key order — deterministic across
-// runs and machines. Null aggregates (empty _min/_max) sort last.
-func sortGroupsByAgg(groups []GroupRow, orders []OrderBy, aggIdx []int, aggs []Aggregate) {
-	sort.SliceStable(groups, func(i, j int) bool {
-		for k, ob := range orders {
-			col := aggs[aggIdx[k]].Raw
-			a, b := groups[i].Aggregates[col], groups[j].Aggregates[col]
-			an, bn := a.IsNull(), b.IsNull()
-			if an != bn {
-				return bn
-			}
-			if an {
-				continue
-			}
-			if cmp, ok := compareValues(a, b); ok && cmp != 0 {
-				if ob.Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-		}
-		return false
-	})
 }
 
 // sortKey is one resolved `_orderby` key of a row.
@@ -300,39 +243,103 @@ func topK(bufs *execBufs, rows []Row, orders []OrderBy, k int) []Row {
 // Each input list is already totally ordered by rowLess (ties broken on the
 // vertex address, and addresses never repeat across machines), so
 // repeatedly taking the least head reproduces exactly what sorting the
-// concatenation would — without ever materializing it. The head scan is
-// linear in the list count: k is a query limit and the list count is
-// bounded by the cluster size, so a heap would not pay for itself.
+// concatenation would — without ever materializing it.
 func mergeSortedRows(bufs *execBufs, lists [][]Row, orders []OrderBy, k int) []Row {
-	pos := make([]int, len(lists))
+	m := kMerge[Row]{
+		runs: make([]mergeRun[Row], 0, len(lists)),
+		less: func(a, b *Row) bool { return rowLess(a, b, orders) },
+	}
 	total := 0
 	for _, l := range lists {
+		m.add(l, nil)
 		total += len(l)
 	}
-	if total > k {
-		total = k
-	}
-	out := make([]Row, 0, total)
+	out := make([]Row, 0, min(total, k))
 	for len(out) < k {
-		best := -1
-		for i := range lists {
-			if pos[i] >= len(lists[i]) {
-				continue
-			}
-			if best < 0 || rowLess(&lists[i][pos[i]], &lists[best][pos[best]], orders) {
-				best = i
-			}
-		}
-		if best < 0 {
+		h := m.buffered() // the lists are whole runs: nothing to pull
+		if h == nil {
 			break
 		}
-		out = append(out, lists[best][pos[best]])
-		pos[best]++
+		out = append(out, *h)
+		m.pop()
 	}
 	// Rows the merge never consumed can't reach the result; hand their
 	// buffers back. The consumed prefix escaped into out and is left alone.
-	for i := range lists {
-		bufs.releaseRows(lists[i][pos[i]:])
+	for i := range m.runs {
+		r := &m.runs[i]
+		bufs.releaseRows(r.buf[r.pos:])
 	}
 	return out
+}
+
+// kMerge is the engine's one k-way merge: sorted runs, each a buffered
+// chunk that its pull function refills when drained, merged by a caller
+// comparator. The OrderedTraverse row merge, the streamed group-run merge
+// and the spilled-group merge are all instances. The head scan is linear
+// in the run count: runs are bounded by the cluster size (or the spill
+// count), so a heap would not pay for itself. Taking a head allocates
+// nothing; only pulls allocate, once per chunk.
+type kMerge[T any] struct {
+	runs []mergeRun[T]
+	less func(a, b *T) bool
+	best int // run holding the head last returned by head
+}
+
+// mergeRun is one sorted input of a kMerge.
+type mergeRun[T any] struct {
+	buf []T
+	pos int
+	// pull fetches the run's next chunk and whether more follow it; nil
+	// once the run is fully buffered.
+	pull func(c *fabric.Ctx, stats *Stats) ([]T, bool, error)
+}
+
+func (m *kMerge[T]) add(buf []T, pull func(*fabric.Ctx, *Stats) ([]T, bool, error)) {
+	m.runs = append(m.runs, mergeRun[T]{buf: buf, pull: pull})
+}
+
+// head refills drained runs, then returns the least head, or nil once
+// every run is exhausted. The pointer stays valid until the next pull.
+func (m *kMerge[T]) head(c *fabric.Ctx, stats *Stats) (*T, error) {
+	for i := range m.runs {
+		r := &m.runs[i]
+		for r.pos >= len(r.buf) && r.pull != nil {
+			chunk, more, err := r.pull(c, stats)
+			if err != nil {
+				return nil, err
+			}
+			r.buf, r.pos = chunk, 0
+			if !more {
+				r.pull = nil
+			}
+		}
+	}
+	return m.buffered(), nil
+}
+
+// buffered returns the least head among the chunks already buffered,
+// pulling nothing. Right after head it is exact for folding equal keys:
+// every run was refilled, a run the fold consumed from cannot repeat the
+// key (keys within a run are unique), and the others are still buffered.
+func (m *kMerge[T]) buffered() *T {
+	var h *T
+	for i := range m.runs {
+		r := &m.runs[i]
+		if r.pos < len(r.buf) && (h == nil || m.less(&r.buf[r.pos], h)) {
+			h, m.best = &r.buf[r.pos], i
+		}
+	}
+	return h
+}
+
+// pop consumes the head last returned by head or buffered.
+func (m *kMerge[T]) pop() { m.runs[m.best].pos++ }
+
+// resident counts the entries buffered across the runs.
+func (m *kMerge[T]) resident() int64 {
+	var n int64
+	for i := range m.runs {
+		n += int64(len(m.runs[i].buf) - m.runs[i].pos)
+	}
+	return n
 }
