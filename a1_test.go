@@ -447,6 +447,20 @@ func TestPublicAPIExplainAndGroupBy(t *testing.T) {
 		if total != 12 {
 			t.Errorf("grouped counts sum = %d, want 12", total)
 		}
+		// year is indexed and the only aggregate is a count: the index
+		// answers without a vertex read.
+		if res.Stats.VerticesRead != 0 {
+			t.Errorf("count-only grouping read %d vertices, want 0 (IndexGroupScan)", res.Stats.VerticesRead)
+		}
+		// With a _sum beside the count, workers ship group partials, never
+		// rows.
+		res, err = db.Query(c, g, `{"_type": "movie", "_groupby": "year", "_select": ["_count(*)", "_sum(year)"]}`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Groups) != 3 {
+			t.Fatalf("groups = %d, want 3", len(res.Groups))
+		}
 		if res.Stats.RowsShipped != 0 {
 			t.Errorf("RowsShipped = %d, want 0", res.Stats.RowsShipped)
 		}

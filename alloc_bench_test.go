@@ -9,9 +9,11 @@ import (
 
 // Alloc-tracked microbenchmarks over the query hot path (Direct mode,
 // real wall clock, -benchmem/-ReportAllocs): the 2-hop Zipf traversal,
-// the ordered index-scan root, and the `_groupby` rollup. These are the
-// go-test twins of the `allocs` a1bench report — CI runs them with
-// -benchmem so allocs/op regressions show next to the trend table.
+// the ordered index-scan root, and the `_groupby` rollups — count-only
+// groupings answered from the group field's index, and their worker-path
+// twins. These are the go-test twins of the `allocs` a1bench report — CI
+// runs them with -benchmem so allocs/op regressions show next to the
+// trend table.
 
 func directZipf(b *testing.B) (*a1.DB, *a1.Graph, *workload.ZipfGraph) {
 	b.Helper()
@@ -82,12 +84,56 @@ func BenchmarkAllocZipfGroupBy(b *testing.B) {
 	})
 }
 
+// BenchmarkAllocZipfGroupByWorker is the same rollup with a `_sum(score)`
+// beside the count, so it cannot be answered from the category index and
+// reads and groups every vertex on the workers.
+func BenchmarkAllocZipfGroupByWorker(b *testing.B) {
+	benchAllocQuery(b, func(z *workload.ZipfGraph) string {
+		return `{"_type": "node", "_groupby": "category", "_select": ["_count(*)", "_sum(score)"], "_orderby": "-_count(*)", "_limit": 10}`
+	})
+}
+
+// BenchmarkAllocZipfGroupDrain is the unlimited high-cardinality grouping
+// (one group per vertex) drained page by page through Fetch — the request
+// the serving benchmark's score grouping sends.
+func BenchmarkAllocZipfGroupDrain(b *testing.B) {
+	db, g, _ := directZipf(b)
+	const doc = `{"_type": "node", "_groupby": "score", "_select": ["_count(*)"]}`
+	db.Run(func(c *a1.Ctx) {
+		drain := func() {
+			res, err := db.Query(c, g, doc)
+			for err == nil && res.Continuation != "" {
+				res, err = db.Fetch(c, res.Continuation)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		drain() // warm plan cache and stats
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			drain()
+		}
+	})
+}
+
 // BenchmarkAllocZipfGroupStream is the high-cardinality streamed form:
-// one group per vertex, drained through the k-way run merge (`_limit`
-// keeps each iteration to one page so no continuation state lingers).
+// one group per vertex, answered as an IndexGroupScan over the score
+// index (`_limit` keeps each iteration to one page so no continuation
+// state lingers).
 func BenchmarkAllocZipfGroupStream(b *testing.B) {
 	benchAllocQuery(b, func(z *workload.ZipfGraph) string {
 		return `{"_type": "node", "_groupby": "score", "_select": ["_count(*)"], "_limit": 100}`
+	})
+}
+
+// BenchmarkAllocZipfGroupStreamWorker is the same streamed form with a
+// `_sum(score)` beside the count, so the groups come from the workers'
+// sorted runs through the k-way run merge.
+func BenchmarkAllocZipfGroupStreamWorker(b *testing.B) {
+	benchAllocQuery(b, func(z *workload.ZipfGraph) string {
+		return `{"_type": "node", "_groupby": "score", "_select": ["_count(*)", "_sum(score)"], "_limit": 100}`
 	})
 }
 

@@ -109,6 +109,7 @@ func Allocs(spec Spec) (*Report, error) {
 				pathNames[pi], baselineMachines, base[pi], allocs[pi][0], 100*(1-allocs[pi][0]/base[pi]))
 		}
 	}
+	r.Note("_groupby rollup is a count-only grouping on the indexed category field, so it runs as an IndexGroupScan (no vertex reads, no worker runs); the 66972 baseline measured the worker path")
 	if spec.Scale != ScaleTest || spec.Machines != baselineMachines {
 		r.Note("pre-change baselines (37589 / 66972 allocs/op) were recorded at test scale on %d machines; this run used a different shape, so no reduction is stated", baselineMachines)
 	}

@@ -619,25 +619,56 @@ func (g *Graph) ScanVerticesByType(tx *farm.Tx, typeName string, fn func(pk bond
 
 // IndexScan visits vertices whose secondary-indexed attribute equals value.
 func (g *Graph) IndexScan(tx *farm.Tx, typeName, fieldName string, value bond.Value, fn func(vp VertexPtr) bool) error {
-	vt, err := g.vertexType(tx.Ctx(), typeName)
+	st, err := g.secondaryTree(tx, typeName, fieldName)
 	if err != nil {
 		return err
 	}
+	prefix := bond.OrderedEncode(nil, value)
+	return st.Scan(tx, prefix, prefixEnd(prefix), func(_, v []byte) bool {
+		return fn(valuePtr(v))
+	})
+}
+
+// secondaryTree opens the secondary index B-tree on typeName.fieldName;
+// ErrNotFound when the field carries no index.
+func (g *Graph) secondaryTree(tx *farm.Tx, typeName, fieldName string) (*farm.BTree, error) {
+	vt, err := g.vertexType(tx.Ctx(), typeName)
+	if err != nil {
+		return nil, err
+	}
 	f, ok := vt.Schema.FieldByName(fieldName)
 	if !ok {
-		return fmt.Errorf("%w: field %q", ErrBadSchema, fieldName)
+		return nil, fmt.Errorf("%w: field %q", ErrBadSchema, fieldName)
 	}
 	for _, si := range vt.Secondary {
-		if si.FieldID != f.ID {
-			continue
+		if si.FieldID == f.ID {
+			return farm.OpenBTree(g.store.farm, si.Tree), nil
 		}
-		st := farm.OpenBTree(g.store.farm, si.Tree)
-		prefix := bond.OrderedEncode(nil, value)
-		return st.Scan(tx, prefix, prefixEnd(prefix), func(_, v []byte) bool {
-			return fn(valuePtr(v))
-		})
 	}
-	return fmt.Errorf("%w: no secondary index on %s.%s", ErrNotFound, typeName, fieldName)
+	return nil, fmt.Errorf("%w: no secondary index on %s.%s", ErrNotFound, typeName, fieldName)
+}
+
+// IndexKeyWalk visits the attribute keys of the secondary index on
+// typeName.fieldName in ascending order at tx's snapshot, one call per
+// index entry, reading no vertex. Each key is the entry's ordered-encoded
+// attribute (the index key minus its vertex address suffix), valid only
+// during the call. A non-nil after resumes the walk strictly after every
+// entry whose attribute key is after — the raw bytes a previous walk
+// handed out, never re-encoded. fn returns false to stop.
+func (g *Graph) IndexKeyWalk(tx *farm.Tx, typeName, fieldName string, after []byte, fn func(attrKey []byte) bool) error {
+	st, err := g.secondaryTree(tx, typeName, fieldName)
+	if err != nil {
+		return err
+	}
+	var from []byte
+	if after != nil {
+		// Ordered attribute encodings are prefix-free, so the entries of
+		// one attribute are exactly the keys prefixed by it.
+		from = prefixEnd(after)
+	}
+	return st.Scan(tx, from, nil, func(k, _ []byte) bool {
+		return fn(k[:max(len(k)-8, 0)])
+	})
 }
 
 // IndexRangeScan visits vertices whose secondary-indexed attribute lies in
@@ -689,65 +720,60 @@ func (g *Graph) IndexMemberScanDir(tx *farm.Tx, typeName, fieldName string, lo b
 // set filters entries before the callback, and the entry count walked is
 // returned.
 func (g *Graph) indexWalkDir(tx *farm.Tx, typeName, fieldName string, lo bond.Value, loInc bool, hi bond.Value, hiInc bool, desc bool, members map[farm.Addr]bool, fn func(attrKey []byte, vp VertexPtr) bool) (int, error) {
-	vt, err := g.vertexType(tx.Ctx(), typeName)
+	st, err := g.secondaryTree(tx, typeName, fieldName)
 	if err != nil {
 		return 0, err
 	}
-	f, ok := vt.Schema.FieldByName(fieldName)
-	if !ok {
-		return 0, fmt.Errorf("%w: field %q", ErrBadSchema, fieldName)
-	}
-	for _, si := range vt.Secondary {
-		if si.FieldID != f.ID {
-			continue
-		}
-		st := farm.OpenBTree(g.store.farm, si.Tree)
-		var from, to []byte
-		if !lo.IsNull() {
-			enc := bond.OrderedEncode(nil, lo)
-			if loInc {
-				from = enc // every key with attr == lo sorts after the bare prefix
-			} else {
-				from = prefixEnd(enc) // skip all keys with attr == lo
-			}
-		}
-		if !hi.IsNull() {
-			enc := bond.OrderedEncode(nil, hi)
-			if hiInc {
-				to = prefixEnd(enc) // include all keys with attr == hi
-			} else {
-				to = enc
-			}
-		}
-		walked := 0
-		visit := func(k, v []byte) bool {
-			walked++
-			vp := valuePtr(v)
-			if members != nil && !members[vp.Addr] {
-				return true
-			}
-			attr := k
-			if len(attr) >= 8 {
-				attr = attr[:len(attr)-8] // strip the address suffix
-			}
-			return fn(attr, vp)
-		}
-		var scanErr error
-		if desc {
-			scanErr = st.ScanDesc(tx, from, to, visit)
+	var from, to []byte
+	if !lo.IsNull() {
+		enc := bond.OrderedEncode(nil, lo)
+		if loInc {
+			from = enc // every key with attr == lo sorts after the bare prefix
 		} else {
-			scanErr = st.Scan(tx, from, to, visit)
+			from = prefixEnd(enc) // skip all keys with attr == lo
 		}
-		return walked, scanErr
 	}
-	return 0, fmt.Errorf("%w: no secondary index on %s.%s", ErrNotFound, typeName, fieldName)
+	if !hi.IsNull() {
+		enc := bond.OrderedEncode(nil, hi)
+		if hiInc {
+			to = prefixEnd(enc) // include all keys with attr == hi
+		} else {
+			to = enc
+		}
+	}
+	walked := 0
+	visit := func(k, v []byte) bool {
+		walked++
+		vp := valuePtr(v)
+		if members != nil && !members[vp.Addr] {
+			return true
+		}
+		attr := k
+		if len(attr) >= 8 {
+			attr = attr[:len(attr)-8] // strip the address suffix
+		}
+		return fn(attr, vp)
+	}
+	var scanErr error
+	if desc {
+		scanErr = st.ScanDesc(tx, from, to, visit)
+	} else {
+		scanErr = st.Scan(tx, from, to, visit)
+	}
+	return walked, scanErr
 }
 
 // CountVertices returns the number of vertices of a type (primary index
-// cardinality).
+// cardinality) at the current time.
 func (g *Graph) CountVertices(c *fabric.Ctx, typeName string) (int, error) {
-	tx := g.store.farm.CreateReadTransaction(c)
-	vt, err := g.vertexType(c, typeName)
+	return g.CountVerticesTx(g.store.farm.CreateReadTransaction(c), typeName)
+}
+
+// CountVerticesTx returns the number of vertices of a type at tx's
+// snapshot, so the count agrees with index walks made through the same
+// snapshot.
+func (g *Graph) CountVerticesTx(tx *farm.Tx, typeName string) (int, error) {
+	vt, err := g.vertexType(tx.Ctx(), typeName)
 	if err != nil {
 		return 0, err
 	}

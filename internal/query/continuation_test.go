@@ -138,7 +138,8 @@ func TestSweepUnderConcurrentFetch(t *testing.T) {
 // next query on the same coordinator must free everything the cursor held
 // — its cursor entry, the group-run tails parked on the workers, spill
 // tables, and the snapshot pin that holds the GC watermark — leaving the
-// farm as collectable as if the cursor had been released.
+// farm as collectable as if the cursor had been released, which in turn is
+// as collectable as if it had never been opened.
 func TestAbandonedCursorsExpireAtNextPut(t *testing.T) {
 	const ttl = 100 * time.Millisecond
 	skew := func(t *testing.T) (*Engine, *core.Graph, *fabric.Ctx, string) {
@@ -158,9 +159,15 @@ func TestAbandonedCursorsExpireAtNextPut(t *testing.T) {
 		{"row slice", skew, nil,
 			`{"_type": "product", "_select": ["id"]}`},
 		{"group slice", skew, nil,
-			`{"_type": "product", "_groupby": "category", "_select": ["_count(*)"], "_orderby": "-_count(*)"}`},
+			`{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_sum(score)"], "_orderby": "-_count(*)"}`},
 		{"streamed groups", skew, func(cfg *Config) { cfg.GroupChunk = 8 },
+			`{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_sum(score)"]}`},
+		// `_count(*)` alone runs as an IndexGroupScan: the cursor pins the
+		// snapshot its later chunks read.
+		{"index groups", skew, func(cfg *Config) { cfg.GroupChunk = 8 },
 			`{"_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`},
+		{"index groups ordered", skew, nil,
+			`{"_type": "product", "_groupby": "category", "_select": ["_count(*)"], "_orderby": "-_count(*)"}`},
 		{"spilled groups", skew, func(cfg *Config) { cfg.MaxWorkingSet = 40 },
 			`{"_type": "product", "_groupby": "category", "_select": ["_sum(score)"], "_orderby": "-_sum(score)"}`},
 		{"recurse", recurse, func(cfg *Config) { cfg.PageSize = 3 },
@@ -169,20 +176,24 @@ func TestAbandonedCursorsExpireAtNextPut(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// scenario returns how many old versions GCVersions frees at the
-			// end, with the first cursor released or abandoned.
-			scenario := func(release bool) int {
+			// end, with the first cursor released or abandoned — or, with
+			// open=false, never opened.
+			scenario := func(open, release bool) int {
 				e, g, c, typ := tc.env(t)
 				e.cfg.ResultTTL = ttl
 				e.cfg.PageSize = 10
 				if tc.tune != nil {
 					tc.tune(&e.cfg)
 				}
-				res, err := e.Execute(c, g, []byte(tc.doc))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Continuation == "" {
-					t.Fatal("expected a continuation")
+				res := &Result{}
+				if open {
+					var err error
+					if res, err = e.Execute(c, g, []byte(tc.doc)); err != nil {
+						t.Fatal(err)
+					}
+					if res.Continuation == "" {
+						t.Fatal("expected a continuation")
+					}
 				}
 				rewriteVertices(t, g, c, typ)
 				if release {
@@ -205,13 +216,17 @@ func TestAbandonedCursorsExpireAtNextPut(t *testing.T) {
 				}
 				return e.store.Farm().GCVersions(c)
 			}
-			released := scenario(true)
-			abandoned := scenario(false)
+			released := scenario(true, true)
+			abandoned := scenario(true, false)
+			unopened := scenario(false, false)
 			if released == 0 {
 				t.Fatal("GCVersions freed nothing after the rewrites")
 			}
 			if abandoned != released {
 				t.Fatalf("GCVersions freed %d after an abandoned cursor, %d after a released one", abandoned, released)
+			}
+			if released != unopened {
+				t.Fatalf("GCVersions freed %d after a released cursor, %d with no cursor opened", released, unopened)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 
+	"a1/internal/bond"
 	"a1/internal/core"
 	"a1/internal/fabric"
 	"a1/internal/stats"
@@ -35,6 +36,7 @@ const estUnknown = -1
 type planContext struct {
 	sum        *stats.GraphSummary
 	probe      indexProbe
+	kind       func(typ, field string) (bond.Kind, bool) // a field's stored kind
 	cfg        *Config
 	machines   int
 	structural bool
@@ -45,6 +47,7 @@ func newPlanContext(c *fabric.Ctx, e *Engine, g *core.Graph) *planContext {
 	pc := &planContext{
 		cfg:        &e.cfg,
 		probe:      indexProbeFor(c, g),
+		kind:       fieldKindFor(c, g),
 		machines:   e.store.Farm().Fabric().Machines(),
 		structural: e.cfg.StructuralPlanner,
 	}
@@ -71,6 +74,18 @@ func indexProbeFor(c *fabric.Ctx, g *core.Graph) indexProbe {
 	}
 }
 
+// fieldKindFor resolves a field's stored kind against the live catalog.
+func fieldKindFor(c *fabric.Ctx, g *core.Graph) func(typ, field string) (bond.Kind, bool) {
+	return func(typ, field string) (bond.Kind, bool) {
+		schema, err := g.VertexTypeSchema(c, typ)
+		if err != nil {
+			return 0, false
+		}
+		f, ok := schema.FieldByName(field)
+		return f.Type.Kind, ok
+	}
+}
+
 // costModel returns the per-entry costs in abstract units, substituting the
 // default constants when the engine was configured without a cost model
 // (zero values) so ranking still discriminates.
@@ -89,6 +104,15 @@ func (pc *planContext) costModel() (read, merge, pred float64) {
 		pred = float64(def.CostPredEval)
 	}
 	return read, merge, pred
+}
+
+// entryCost is the cost of passing over one index entry without reading
+// its vertex, priced like one enumerated half-edge.
+func (pc *planContext) entryCost() float64 {
+	if pc.cfg.CostEdgeEnum == 0 {
+		return float64(DefaultConfig().CostEdgeEnum)
+	}
+	return float64(pc.cfg.CostEdgeEnum)
 }
 
 // typeCount returns a type's cluster-wide cardinality.
@@ -120,7 +144,27 @@ func (pc *planContext) eqRows(typ string, p Predicate) (float64, bool) {
 		}
 		return float64(fs.Count) / float64(d), true
 	}
-	return fs.EqEstimate(p.Value), true
+	// Estimate the value the index scan looks up: the constant coerced to
+	// the stored kind, as eqIndexScan does.
+	v := p.Value
+	if k, ok := pc.kind(typ, p.Path.Field); ok {
+		if lo, hi, ok, empty := coerceEq(v, k); ok {
+			// A side dropped past the kind's domain leaves v at the
+			// domain edge the other side names.
+			if lo.IsNull() {
+				lo = hi
+			} else if hi.IsNull() {
+				hi = lo
+			}
+			switch {
+			case empty:
+				return 0, true
+			case lo.Equal(hi):
+				v = lo
+			}
+		}
+	}
+	return fs.EqEstimate(v), true
 }
 
 // rangeRows estimates how many vertices an indexed range predicate admits.
@@ -187,6 +231,7 @@ const (
 	srcIndexScan
 	srcOrderedScan
 	srcRangeScan
+	srcIndexGroupScan
 	srcTypeScan
 )
 
@@ -201,7 +246,8 @@ type startCandidate struct {
 
 // rankStartCandidates enumerates the servable root access paths in the
 // structural preference order — IDLookup, equality IndexScan (document
-// order), OrderedIndexScan, IndexRangeScan, TypeScan — costs each against
+// order), OrderedIndexScan, IndexRangeScan, IndexGroupScan, TypeScan —
+// costs each against
 // statistics, and reorders by cost when statistics cover the type. The
 // stable sort keeps the preference order as the tiebreak, and a structural
 // planner (or a type without statistics) returns the preference order
@@ -293,6 +339,23 @@ func rankStartCandidates(sp *StartPlan, pat *VertexPattern, pc *planContext) []s
 		}
 	}
 
+	if sp.GroupIndex != "" && pc.probe(pat.Type, sp.GroupIndex) {
+		c := startCandidate{kind: srcIndexGroupScan, est: estUnknown, cost: estUnknown,
+			label: fmt.Sprintf("IndexGroupScan(%s.%s)", pat.Type, sp.GroupIndex)}
+		if fs, ok := pc.sum.FieldStats(pat.Type, sp.GroupIndex); ok && haveTC {
+			// One group per distinct value, plus the null group when some
+			// vertices carry no value. The walk visits every index entry
+			// and, for the null group, every primary entry — no vertex.
+			groups := float64(fs.Distinct)
+			if float64(fs.Count) < tc {
+				groups++
+			}
+			c.est = groups
+			c.cost = (float64(fs.Count)+tc)*pc.entryCost() + groups*merge
+		}
+		cands = append(cands, c)
+	}
+
 	ts := startCandidate{kind: srcTypeScan, est: estUnknown, cost: estUnknown,
 		label: fmt.Sprintf("TypeScan(%s)", pat.Type)}
 	if sp.ScanCapped {
@@ -364,11 +427,8 @@ func (pc *planContext) rankOrderedTraverse(pat *VertexPattern, otp *OrderedScanP
 	}
 	indexEntries := float64(fs.Count)
 	read, merge, pred := pc.costModel()
-	enum := float64(pc.cfg.CostEdgeEnum)
-	if enum == 0 {
-		enum = float64(DefaultConfig().CostEdgeEnum)
-	}
 	npreds := float64(len(pat.Preds))
+	enum := pc.entryCost()
 
 	sel := pc.residualSelectivity(pat, otp.Field)
 	if sel <= 0 {

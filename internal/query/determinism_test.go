@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"a1/internal/core"
+	"a1/internal/fabric"
 )
 
 // JSON objects decode to Go maps, whose iteration order changes run to
@@ -88,8 +91,18 @@ func TestBindErrorDeterministic(t *testing.T) {
 func TestGroupByOrderDeterministic(t *testing.T) {
 	e, _, g, c := newSkewEnv(t)
 	// No _orderby: group order is still canonical (sorted encoded keys),
-	// identical on every execution.
-	doc := []byte(`{"_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`)
+	// identical on every execution — off the category index and off the
+	// worker runs (the `_sum` doc) alike.
+	for _, doc := range [][]byte{
+		[]byte(`{"_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`),
+		[]byte(`{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_sum(score)"]}`),
+	} {
+		groupOrderDeterministic(t, e, g, c, doc)
+	}
+}
+
+func groupOrderDeterministic(t *testing.T, e *Engine, g *core.Graph, c *fabric.Ctx, doc []byte) {
+	t.Helper()
 	res, err := e.Execute(c, g, doc)
 	if err != nil {
 		t.Fatal(err)

@@ -322,7 +322,12 @@ func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 		return nil, err
 	}
 	st.initLevels(pl, pats)
-	if ordered {
+	if st.indexGroups != nil {
+		// IndexGroupScan answered the grouped terminal from the index: no
+		// frontier, no worker runs.
+		gcur = st.indexGroups.cur
+		st.stats.Hops = 1
+	} else if ordered {
 		// OrderedIndexScan produced the terminal rows directly, already in
 		// result order.
 		rows = orderedRows
@@ -456,7 +461,7 @@ func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 		}
 		pg, err := st.groupPager(qc, gcur, tp)
 		if err != nil {
-			return nil, err
+			return nil, err // groupPager closed gcur
 		}
 		src = pg
 	default:
@@ -492,6 +497,11 @@ func (e *Engine) run(c *fabric.Ctx, g *core.Graph, q *Query) (*Result, error) {
 		if err := st.firstPage(qc, res, src, pageSize); err != nil {
 			return nil, err
 		}
+	}
+	if st.indexGroups != nil {
+		// Groups the index walk produced by the first page: all of them
+		// unless the unordered form left the walk mid-index.
+		st.setActRows(0, int(st.indexGroups.groups))
 	}
 
 	res.Stats = st.snapshotStats(&ops)
@@ -532,6 +542,9 @@ type execState struct {
 	// preOrdered marks rows produced by OrderedIndexScan: already in result
 	// order, no coordinator sort needed.
 	preOrdered bool
+	// indexGroups is the IndexGroupScan run that answered a grouped root
+	// terminal from its field's index.
+	indexGroups *indexGroupRun
 
 	mu    sync.Mutex
 	stats Stats
@@ -721,7 +734,7 @@ func (st *execState) execStart(qc *fabric.Ctx, tx *farm.Tx, root *VertexPattern,
 			// Secondary-index equality scan.
 			p := root.Preds[cand.predIdx]
 			var hits []core.VertexPtr
-			err := st.graph.IndexScan(tx, root.Type, p.Path.Field, p.Value, func(vp core.VertexPtr) bool {
+			err := st.eqIndexScan(tx, root.Type, p, func(vp core.VertexPtr) bool {
 				hits = append(hits, vp)
 				return true
 			})
@@ -758,6 +771,18 @@ func (st *execState) execStart(qc *fabric.Ctx, tx *farm.Tx, root *VertexPattern,
 			if err != nil {
 				return nil, nil, false, err
 			}
+		case srcIndexGroupScan:
+			// Index-only grouping: the `_groupby` field's index answers
+			// the grouped terminal without a frontier.
+			r, served, err := st.indexGroupScan(qc, tx, root, sp.GroupIndex)
+			if err != nil {
+				return nil, nil, false, err
+			}
+			if served {
+				st.chosen = cand
+				st.indexGroups = r
+				return nil, nil, false, nil
+			}
 		case srcTypeScan:
 			// Full primary-index scan of the type. When the plan marked the
 			// scan cappable (unfiltered, unordered, limited terminal), any K
@@ -778,6 +803,25 @@ func (st *execState) execStart(qc *fabric.Ctx, tx *farm.Tx, root *VertexPattern,
 	}
 	// Unreachable: TypeScan is always enumerated last.
 	return nil, nil, false, errors.New("a1ql: no runnable access path")
+}
+
+// eqIndexScan visits the vertices whose indexed field equals p's constant
+// coerced to the field's stored kind (coerceEq), so an int literal finds a
+// double field's 1.0 just as the per-vertex comparison would. Like the raw
+// scan it reports core.ErrNotFound when the field carries no index.
+func (st *execState) eqIndexScan(tx *farm.Tx, typ string, p Predicate, fn func(core.VertexPtr) bool) error {
+	g := st.graph
+	if schema, err := g.VertexTypeSchema(tx.Ctx(), typ); err == nil {
+		if f, ok := schema.FieldByName(p.Path.Field); ok {
+			if lo, hi, ok, empty := coerceEq(p.Value, f.Type.Kind); ok && !empty {
+				return g.IndexRangeScanBounds(tx, typ, p.Path.Field, lo, true, hi, true, fn)
+			}
+		}
+	}
+	// An uncoercible constant can only match its own kind. An empty
+	// coercion leaves a literal whose kind no key of the index carries, so
+	// the raw scan finds nothing — and still reports a missing index.
+	return g.IndexScan(tx, typ, p.Path.Field, p.Value, fn)
 }
 
 // rangeStart attempts to serve the root frontier from a secondary-index
@@ -1310,7 +1354,7 @@ func (st *execState) buildMemberFilter(qc *fabric.Ctx, tx *farm.Tx, pat *VertexP
 	for _, pi := range ifp.EqPreds {
 		p := pat.Preds[pi]
 		m, ok, err := collect(func(fn func(core.VertexPtr) bool) error {
-			return g.IndexScan(tx, pat.Type, p.Path.Field, p.Value, fn)
+			return st.eqIndexScan(tx, pat.Type, p, fn)
 		})
 		if err != nil {
 			if errors.Is(err, core.ErrNotFound) {

@@ -93,31 +93,46 @@ func TestGroupOrderValidation(t *testing.T) {
 }
 
 func TestGroupOrderPaging(t *testing.T) {
-	e, _, g, c := newSkewEnv(t)
-	// Force paging: 81 groups, page size 10, ordered by count descending.
-	e.cfg.PageSize = 10
-	res, err := e.Execute(c, g, []byte(`{"_type": "product", "_groupby": "category",
-	  "_select": ["_count(*)"], "_orderby": "-_count(*)"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Groups) != 10 || res.Continuation == "" {
-		t.Fatalf("page 1: %d groups, cont=%q", len(res.Groups), res.Continuation)
-	}
-	if k := res.Groups[0].Keys["category"].AsString(); k != "hot" {
-		t.Fatalf("page 1 top group = %q, want hot", k)
-	}
-	total := len(res.Groups)
-	token := res.Continuation
-	for token != "" {
-		page, err := e.Fetch(c, token)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(page.Groups)
-		token = page.Continuation
-	}
-	if total != 81 {
-		t.Fatalf("total groups across pages = %d, want 81", total)
+	// The count-only doc runs as an IndexGroupScan; its `_sum(score)` twin
+	// is ineligible and pages the same order through the worker runs.
+	for _, tc := range []struct {
+		name, sel   string
+		vertexReads bool
+	}{
+		{"index", `"_count(*)"`, false},
+		{"worker", `"_count(*)", "_sum(score)"`, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, _, g, c := newSkewEnv(t)
+			// Force paging: 81 groups, page size 10, ordered by count descending.
+			e.cfg.PageSize = 10
+			res, err := e.Execute(c, g, []byte(`{"_type": "product", "_groupby": "category",
+			  "_select": [`+tc.sel+`], "_orderby": "-_count(*)"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Groups) != 10 || res.Continuation == "" {
+				t.Fatalf("page 1: %d groups, cont=%q", len(res.Groups), res.Continuation)
+			}
+			if k := res.Groups[0].Keys["category"].AsString(); k != "hot" {
+				t.Fatalf("page 1 top group = %q, want hot", k)
+			}
+			if got := res.Stats.VerticesRead > 0; got != tc.vertexReads {
+				t.Fatalf("page 1 VerticesRead = %d, want vertex reads %v", res.Stats.VerticesRead, tc.vertexReads)
+			}
+			total := len(res.Groups)
+			token := res.Continuation
+			for token != "" {
+				page, err := e.Fetch(c, token)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += len(page.Groups)
+				token = page.Continuation
+			}
+			if total != 81 {
+				t.Fatalf("total groups across pages = %d, want 81", total)
+			}
+		})
 	}
 }

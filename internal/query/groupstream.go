@@ -1,7 +1,9 @@
 package query
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"a1/internal/bond"
 	"a1/internal/core"
 	"a1/internal/fabric"
+	"a1/internal/farm"
 	"a1/internal/objectstore"
 )
 
@@ -393,6 +396,7 @@ type groupCursor struct {
 	aggs   []Aggregate
 	having []HavingPred
 	exact  bool
+	unpin  func() // releases an IndexGroupScan's snapshot pin; nil for worker runs
 }
 
 // puller returns the pull function for a run whose tail is parked on m
@@ -489,10 +493,232 @@ func (cur *groupCursor) nextRow(c *fabric.Ctx, stats *Stats) (GroupRow, bool, er
 	return groupRowOf(gs, cur.by, cur.aggs), true, nil
 }
 
-// close is a no-op: parked run tails on the workers expire by TTL, exactly
-// like coordinator continuation state (a worker cannot rely on a crashed
-// coordinator to release it).
-func (cur *groupCursor) close(*Engine) {}
+// close releases the snapshot pin of an IndexGroupScan run. Parked run
+// tails on the workers expire by TTL, exactly like coordinator
+// continuation state (a worker cannot rely on a crashed coordinator to
+// release it).
+func (cur *groupCursor) close(*Engine) {
+	if cur.unpin != nil {
+		cur.unpin()
+	}
+}
+
+// Index-only grouping (IndexGroupScan). A whole-type `_groupby` of one
+// secondary-indexed field whose every aggregate is `_count(*)` reads no
+// vertex: an index key's attribute prefix is OrderedEncode(value), exactly
+// the group key appendGroupKey encodes for one scalar key, so a walk of the
+// index yields the groups in the engine's encoded-key order and each
+// group's count is the length of its key run. The walk is the single run
+// of a groupCursor, refilled GroupChunk groups at a time through the
+// query's snapshot; the pager, `_having`, `_skip`/`_limit`, the ordered
+// form's sort and spill, and continuation paging apply unchanged.
+//
+// Vertices whose field is null or missing have no index entry but group
+// under Null, whose encoding sorts first. Their count is the type's
+// primary-index count minus the index entries, both read at the snapshot:
+// the unordered form counts before its first group, while the ordered
+// form, which drains every group before it sorts, derives the count from
+// its own walk and emits the null group last. A required field has no
+// null group.
+
+// nullGroupKey is the encoded group key of the null group.
+var nullGroupKey = string(appendGroupKey(nil, bond.Null))
+
+// indexGroupRun walks one field's secondary index at a fixed snapshot,
+// chunk by chunk, into key-sorted group entries.
+type indexGroupRun struct {
+	g          *core.Graph
+	typ, field string
+	ts         uint64
+	naggs      int
+	chunk      int
+	after      []byte // attribute key of the last group emitted; nil before the first
+	nulls      int64  // null-group count still to emit ahead of the keys
+	nullLast   bool   // derive the null group after the walk (ordered form)
+	entries    int64  // index entries walked, for nullLast
+	groups     int64  // groups emitted so far (the level's act)
+	cur        *groupCursor
+}
+
+// indexGroupScan serves a grouped root terminal from the `_groupby`
+// field's secondary index: it takes the first chunk and returns the run,
+// whose cursor the pager drains. served=false means the field has no index
+// (or the type is unknown) and the caller falls through to the type scan.
+func (st *execState) indexGroupScan(qc *fabric.Ctx, tx *farm.Tx, pat *VertexPattern, field string) (*indexGroupRun, bool, error) {
+	e := st.engine
+	schema, err := st.graph.VertexTypeSchema(qc, pat.Type)
+	if err != nil {
+		return nil, false, nil // unknown type: the type scan surfaces the error
+	}
+	f, ok := schema.FieldByName(field)
+	if !ok {
+		return nil, false, nil
+	}
+	r := &indexGroupRun{g: st.graph, typ: pat.Type, field: field, ts: st.ts,
+		naggs: len(pat.Aggs), chunk: e.cfg.GroupChunk}
+	ordered := len(pat.Orders) > 0
+	r.nullLast = !f.Required && ordered
+	if !f.Required && !ordered {
+		r.nulls, err = r.countNulls(tx)
+	}
+	var first []groupEntry
+	var more bool
+	if err == nil {
+		first, more, err = r.pull(qc)
+	}
+	if errors.Is(err, core.ErrNotFound) {
+		return nil, false, nil // the index is gone
+	}
+	if err != nil {
+		return nil, true, err
+	}
+	cur := &groupCursor{
+		e:      e,
+		merge:  kMerge[groupEntry]{less: groupEntryLess},
+		by:     pat.GroupBy,
+		aggs:   pat.Aggs,
+		having: pat.Having,
+	}
+	var pull func(*fabric.Ctx, *Stats) ([]groupEntry, bool, error)
+	if more {
+		// Later chunks may be pulled by Fetches long after this query's
+		// own pin is gone: the run holds the snapshot until it closes.
+		cur.unpin = e.store.Farm().PinSnapshot(st.ts)
+		pull = func(c *fabric.Ctx, stats *Stats) ([]groupEntry, bool, error) {
+			entries, more, err := r.pull(c)
+			if err != nil {
+				return nil, false, err
+			}
+			if n := cur.resident() + int64(len(entries)); n > stats.PeakGroups {
+				stats.PeakGroups = n
+			}
+			return entries, more, nil
+		}
+	}
+	cur.merge.add(first, pull)
+	if n := cur.resident(); n > st.stats.PeakGroups {
+		st.stats.PeakGroups = n
+	}
+	r.cur = cur
+	return r, true, nil
+}
+
+// countNulls counts the vertices with no index entry: the primary entries
+// minus the secondary ones, at the run's snapshot.
+func (r *indexGroupRun) countNulls(tx *farm.Tx) (int64, error) {
+	var entries int64
+	if err := r.g.IndexKeyWalk(tx, r.typ, r.field, nil, func([]byte) bool {
+		entries++
+		return true
+	}); err != nil {
+		return 0, err
+	}
+	total, err := r.g.CountVerticesTx(tx, r.typ)
+	return int64(total) - entries, err
+}
+
+// pull walks the next chunk: up to GroupChunk groups (a pending null
+// group included, the ordered form's trailing one not), resuming strictly
+// after the last attribute key emitted. more=false means the walk reached
+// the end of the index.
+func (r *indexGroupRun) pull(c *fabric.Ctx) ([]groupEntry, bool, error) {
+	tx := r.g.Store().Farm().CreateReadTransactionAt(c, r.ts)
+	b := newGroupChunk(r.chunk+1, r.naggs)
+	if r.nulls > 0 {
+		b.add(nullGroupKey, bond.Null, r.nulls)
+		r.nulls = 0
+	}
+	var key []byte
+	var n int64
+	var decodeErr error
+	full := false
+	emit := func() bool {
+		v, _, err := bond.OrderedDecode(key)
+		if err != nil {
+			decodeErr = err
+			return false
+		}
+		b.add(string(key), v, n)
+		r.entries += n
+		return true
+	}
+	err := r.g.IndexKeyWalk(tx, r.typ, r.field, r.after, func(attr []byte) bool {
+		if n > 0 && bytes.Equal(attr, key) {
+			n++
+			return true
+		}
+		if n > 0 && !emit() {
+			return false
+		}
+		if len(b.entries) >= r.chunk {
+			full = true // attr starts the next chunk
+			return false
+		}
+		key = append(key[:0], attr...)
+		n = 1
+		return true
+	})
+	if err == nil {
+		err = decodeErr
+	}
+	if err == nil && !full && n > 0 && !emit() {
+		err = decodeErr
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	if n > 0 {
+		r.after = key // this pull's own buffer: the next pull starts a fresh one
+	}
+	r.groups += int64(len(b.entries))
+	if full {
+		return b.entries, true, nil
+	}
+	if r.nullLast {
+		total, err := r.g.CountVerticesTx(tx, r.typ)
+		if err != nil {
+			return nil, false, err
+		}
+		if nulls := int64(total) - r.entries; nulls > 0 {
+			b.add(nullGroupKey, bond.Null, nulls)
+			r.groups++
+		}
+	}
+	return b.entries, false, nil
+}
+
+// groupChunk builds one chunk of count-only group entries from slabs:
+// four allocations per chunk instead of three per group. Capacity covers a
+// full chunk plus the ordered form's trailing null group, so appends never
+// move the states the entries point into.
+type groupChunk struct {
+	entries []groupEntry
+	states  []groupState
+	keys    []bond.Value
+	aggs    []aggState
+	naggs   int
+}
+
+func newGroupChunk(n, naggs int) *groupChunk {
+	return &groupChunk{
+		entries: make([]groupEntry, 0, n),
+		states:  make([]groupState, 0, n),
+		keys:    make([]bond.Value, 0, n),
+		aggs:    make([]aggState, 0, n*naggs),
+		naggs:   naggs,
+	}
+}
+
+// add appends the group enc with key value v and every `_count(*)` at n.
+func (b *groupChunk) add(enc string, v bond.Value, n int64) {
+	k, a := len(b.keys), len(b.aggs)
+	b.keys = append(b.keys, v)
+	for range b.naggs {
+		b.aggs = append(b.aggs, aggState{count: n})
+	}
+	b.states = append(b.states, groupState{keys: b.keys[k : k+1 : k+1], aggs: b.aggs[a:len(b.aggs):len(b.aggs)]})
+	b.entries = append(b.entries, groupEntry{enc: enc, gs: &b.states[len(b.states)-1]})
+}
 
 // groupPager wraps a grouped terminal's merge cursor in the pager that cuts
 // it into pages. The unordered form pages the run merge directly; the
@@ -502,6 +728,7 @@ func (st *execState) groupPager(qc *fabric.Ctx, cur *groupCursor, tp *VertexPatt
 	var stream groupStream = cur
 	if len(tp.Orders) > 0 {
 		sm, err := st.collectOrderedGroups(qc, cur, tp)
+		cur.close(st.engine) // drained (or failed): the sorted runs stand alone
 		if err != nil {
 			return nil, err
 		}

@@ -172,9 +172,12 @@ func TestGroupStreamParity(t *testing.T) {
 		// Ordered by aggregate with 80 ties on count=1.
 		{`{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_max(score)"], "_orderby": "-_count(*)"}`,
 			groupRef{aggs: []string{"_count(*)", "_max(score)"}, orderBy: "_count(*)"}},
-		// Skip + limit through the pager.
+		// Skip + limit through the pager (the `_count(*)`-only form runs
+		// as an IndexGroupScan; the `_sum` twin keeps the worker runs).
 		{`{"_type": "product", "_groupby": "category", "_select": ["_count(*)"], "_skip": 5, "_limit": 30}`,
 			groupRef{aggs: []string{"_count(*)"}, skip: 5, limit: 30}},
+		{`{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_sum(score)"], "_skip": 5, "_limit": 30}`,
+			groupRef{aggs: []string{"_count(*)", "_sum(score)"}, skip: 5, limit: 30}},
 		// _having re-checked at the coordinator after the merge.
 		{`{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_max(score)"], "_having": {"_max(score)": {"_ge": 100}}}`,
 			groupRef{aggs: []string{"_count(*)", "_max(score)"},
@@ -183,6 +186,9 @@ func TestGroupStreamParity(t *testing.T) {
 		{`{"_type": "product", "_groupby": "category", "_select": ["_count(*)"], "_having": {"_count(*)": {"_gt": 1}}}`,
 			groupRef{aggs: []string{"_count(*)"},
 				having: func(a map[string]int64) bool { return a["_count(*)"] > 1 }}},
+		{`{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_sum(score)"], "_having": {"_count(*)": {"_gt": 1}}}`,
+			groupRef{aggs: []string{"_count(*)", "_sum(score)"},
+				having: func(a map[string]int64) bool { return a["_count(*)"] > 1 }}},
 	}
 	for _, tc := range cases {
 		sameGroups(t, tc.doc, drainGroups(t, stream, g, c, tc.doc), tc.ref.eval(t, g, c))
@@ -190,12 +196,13 @@ func TestGroupStreamParity(t *testing.T) {
 }
 
 // TestGroupStreamResidency pins the streaming claim: the coordinator never
-// holds the full group set of 81.
+// holds the full group set of 81 — neither merging worker runs (the `_sum`
+// doc) nor walking the category index (the `_count(*)`-only doc).
 func TestGroupStreamResidency(t *testing.T) {
 	stream, _, g, c := newSkewEnv(t)
 	stream.cfg.PageSize = 10
 	stream.cfg.GroupChunk = 8
-	doc := `{"_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`
+	doc := `{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_sum(score)"]}`
 
 	res, err := stream.Execute(c, g, []byte(doc))
 	if err != nil {
@@ -220,6 +227,38 @@ func TestGroupStreamResidency(t *testing.T) {
 	// partials never cross the fabric, so shipped < one-per-(machine,group).
 	if shipped == 0 || shipped > 5*81 {
 		t.Fatalf("GroupsShipped = %d, want in (0, %d]", shipped, 5*81)
+	}
+
+	// The index walk holds one chunk besides the page, reads no vertex and
+	// neither ships nor parks anything.
+	idx := `{"_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`
+	res, err = stream.Execute(c, g, []byte(idx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src := res.Stats.Levels[0].Source; src != "IndexGroupScan(product.category)" {
+		t.Fatalf("source = %s, want IndexGroupScan(product.category)", src)
+	}
+	peak, shipped = res.Stats.PeakGroups, res.Stats.GroupsShipped
+	reads, rpcs := res.Stats.VerticesRead, res.Stats.RPCs
+	for m := 0; m < stream.store.Farm().Fabric().Machines(); m++ {
+		if n := stream.PendingRuns(fabric.MachineID(m)); n != 0 {
+			t.Fatalf("PendingRuns(%d) = %d behind the first page, want 0", m, n)
+		}
+	}
+	for res.Continuation != "" {
+		if res, err = stream.Fetch(c, res.Continuation); err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, res.Stats.PeakGroups)
+		shipped += res.Stats.GroupsShipped
+		reads += res.Stats.VerticesRead
+	}
+	if peak <= 0 || peak > 10+8 {
+		t.Fatalf("index PeakGroups = %d, want in (0, page + chunk = 18]", peak)
+	}
+	if shipped != 0 || reads != 0 || rpcs != 0 {
+		t.Fatalf("index path shipped %d groups, read %d vertices, sent %d RPCs; want none", shipped, reads, rpcs)
 	}
 }
 
@@ -403,9 +442,32 @@ func TestCrashDuringPagingLeavesNothing(t *testing.T) {
 		}
 	}
 
-	// Cursors fetched while their coordinator crashes.
+	// Cursors fetched while their coordinator crashes: the worker-run
+	// merge (the `_sum` doc) and the index walk, which pins its snapshot.
 	e.cfg.GroupChunk = 8
-	doc := `{"_hints": {"page_size": 5}, "_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`
+	const indexDoc = `{"_hints": {"page_size": 5}, "_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`
+	for _, doc := range []string{
+		`{"_hints": {"page_size": 5}, "_type": "product", "_groupby": "category", "_select": ["_count(*)", "_sum(score)"]}`,
+		indexDoc,
+	} {
+		crashWhileFetching(t, e, g, c, doc)
+	}
+	// Every crashed index cursor released its pin: a rewrite is exactly as
+	// collectable as after one cleanly drained query.
+	rewriteVertices(t, g, c, "product")
+	crashed := e.store.Farm().GCVersions(c)
+	e2, _, g2, c2 := newSkewEnv(t)
+	drainQuery(t, e2, g2, c2, indexDoc)
+	rewriteVertices(t, g2, c2, "product")
+	if clean := e2.store.Farm().GCVersions(c2); crashed != clean {
+		t.Fatalf("GCVersions freed %d after crashed index cursors, %d after a drained one", crashed, clean)
+	}
+}
+
+// crashWhileFetching pages doc on one goroutine while the coordinator
+// crashes mid-stream, 20 times over.
+func crashWhileFetching(t *testing.T, e *Engine, g *core.Graph, c *fabric.Ctx, doc string) {
+	t.Helper()
 	for round := 0; round < 20; round++ {
 		res, err := e.Execute(c, g, []byte(doc))
 		if err != nil {
@@ -445,75 +507,84 @@ func TestCrashDuringPagingLeavesNothing(t *testing.T) {
 // under -race. Fast readers must see all 81 groups; slow readers may be
 // swept mid-stream, which surfaces as ErrBadToken, never corruption.
 func TestGroupStreamSweepUnderConcurrentFetch(t *testing.T) {
-	e, _, g, c := newSkewEnv(t)
-	e.cfg.ResultTTL = 40 * time.Millisecond
-	e.cfg.GroupChunk = 8
-	doc := `{"_hints": {"page_size": 10}, "_type": "product", "_groupby": "category", "_select": ["_count(*)"]}`
+	// The worker twin pages parked run tails while the sweeper runs; the
+	// count-only doc pages one pinned IndexGroupScan cursor instead.
+	for _, tc := range []struct{ name, sel string }{
+		{"worker", `"_count(*)", "_sum(score)"`},
+		{"index", `"_count(*)"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := `{"_hints": {"page_size": 10}, "_type": "product", "_groupby": "category", "_select": [` + tc.sel + `]}`
+			e, _, g, c := newSkewEnv(t)
+			e.cfg.ResultTTL = 40 * time.Millisecond
+			e.cfg.GroupChunk = 8
 
-	const streams = 6
-	stop := make(chan struct{})
-	var sweeperWG sync.WaitGroup
-	sweeperWG.Add(1)
-	go func() {
-		defer sweeperWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				e.ExpireResults(c)
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, streams)
-	for s := 0; s < streams; s++ {
-		wg.Add(1)
-		go func(slow bool) {
-			defer wg.Done()
-			res, err := e.Execute(c, g, []byte(doc))
-			if err != nil {
-				errCh <- err
-				return
-			}
-			groups := len(res.Groups)
-			token := res.Continuation
-			for token != "" {
-				if slow {
-					time.Sleep(10 * time.Millisecond)
-				}
-				page, err := e.Fetch(c, token)
-				if err != nil {
-					if errors.Is(err, ErrBadToken) {
-						return // swept mid-stream: acceptable for a slow reader
+			const streams = 6
+			stop := make(chan struct{})
+			var sweeperWG sync.WaitGroup
+			sweeperWG.Add(1)
+			go func() {
+				defer sweeperWG.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						e.ExpireResults(c)
+						time.Sleep(time.Millisecond)
 					}
-					errCh <- err
-					return
 				}
-				groups += len(page.Groups)
-				token = page.Continuation
+			}()
+
+			var wg sync.WaitGroup
+			errCh := make(chan error, streams)
+			for s := 0; s < streams; s++ {
+				wg.Add(1)
+				go func(slow bool) {
+					defer wg.Done()
+					res, err := e.Execute(c, g, []byte(doc))
+					if err != nil {
+						errCh <- err
+						return
+					}
+					groups := len(res.Groups)
+					token := res.Continuation
+					for token != "" {
+						if slow {
+							time.Sleep(10 * time.Millisecond)
+						}
+						page, err := e.Fetch(c, token)
+						if err != nil {
+							if errors.Is(err, ErrBadToken) {
+								return // swept mid-stream: acceptable for a slow reader
+							}
+							errCh <- err
+							return
+						}
+						groups += len(page.Groups)
+						token = page.Continuation
+					}
+					if groups != 81 {
+						errCh <- errors.New("incomplete group stream despite no expiry")
+					}
+				}(s%2 == 1)
 			}
-			if groups != 81 {
-				errCh <- errors.New("incomplete group stream despite no expiry")
+			wg.Wait()
+			close(stop)
+			sweeperWG.Wait()
+			close(errCh)
+			for err := range errCh {
+				t.Error(err)
 			}
-		}(s%2 == 1)
-	}
-	wg.Wait()
-	close(stop)
-	sweeperWG.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	e.ExpireResults(c)
-	if n := e.PendingResults(0); n != 0 {
-		t.Fatalf("PendingResults after final sweep = %d, want 0", n)
-	}
-	if n := e.PendingRuns(0); n != 0 {
-		t.Fatalf("PendingRuns after final sweep = %d, want 0", n)
+			time.Sleep(50 * time.Millisecond)
+			e.ExpireResults(c)
+			if n := e.PendingResults(0); n != 0 {
+				t.Fatalf("PendingResults after final sweep = %d, want 0", n)
+			}
+			if n := e.PendingRuns(0); n != 0 {
+				t.Fatalf("PendingRuns after final sweep = %d, want 0", n)
+			}
+		})
 	}
 }
 

@@ -38,7 +38,9 @@ import (
 // operators: IDLookup (primary key), IndexScan (secondary-index equality),
 // OrderedIndexScan (index walk in `_orderby` order with top-K early stop),
 // IndexRangeScan (secondary-index inequality bounds), and TypeScan (full
-// primary-index scan). Candidate operators are ordered by preference; the
+// primary-index scan). A sixth, IndexGroupScan, produces no frontier: it
+// answers a whole-type `_groupby` count from the group field's index
+// (groupstream.go). Candidate operators are ordered by preference; the
 // interpreter falls through when the index an operator needs does not
 // exist.
 type StartPlan struct {
@@ -56,6 +58,11 @@ type StartPlan struct {
 	// ScanCapped: unfiltered, unordered, limited terminal — a full type
 	// scan may stop after _limit+_skip hits.
 	ScanCapped bool
+	// GroupIndex, when set, is the IndexGroupScan candidate: the root is
+	// an unfiltered grouped terminal whose one plain `_groupby` field this
+	// names and whose every aggregate is `_count(*)`, so the field's
+	// secondary index holds every group and its count.
+	GroupIndex string
 }
 
 // OrderedScanPlan describes the ordered index scan candidate.
@@ -260,7 +267,24 @@ func compileStart(root *VertexPattern) *StartPlan {
 		(root.Limit > 0 || root.LimitParam != "") {
 		sp.ScanCapped = true
 	}
+	if terminal && root.Type != "" && len(root.Preds) == 0 && len(root.Matches) == 0 &&
+		len(root.GroupBy) == 1 && onlyCounts(root.Aggs) {
+		fp := root.GroupBy[0]
+		if !fp.IsMap && !fp.IsList && !fp.Wildcard {
+			sp.GroupIndex = fp.Field
+		}
+	}
 	return sp
+}
+
+// onlyCounts reports whether every aggregate is `_count(*)`.
+func onlyCounts(aggs []Aggregate) bool {
+	for _, a := range aggs {
+		if a.Kind != AggCount {
+			return false
+		}
+	}
+	return len(aggs) > 0
 }
 
 // Plan returns q's compiled physical plan, compiling on first use for
@@ -379,7 +403,8 @@ func (pl *Plan) Tree(q *Query, pc *planContext) *PlanTree {
 				Est: fest, Act: estUnknown,
 			})
 		}
-		if lp.HasFilter {
+		// An IndexGroupScan reads no vertex, so no residual filter runs.
+		if lp.HasFilter && !(i == 0 && start.kind == srcIndexGroupScan) {
 			lv.Children = append(lv.Children, &PlanNode{
 				Op: "Filter", Detail: describeFilter(vp), Est: estUnknown, Act: estUnknown,
 			})

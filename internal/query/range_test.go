@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"a1/internal/bond"
@@ -249,5 +250,128 @@ func TestRangeBoundDomainEdgesMatchEvaluator(t *testing.T) {
 	lo, loInc, _, _, ok, empty = coerceRange(mkSpec(bond.Double(float64(math.MaxUint64)), true, bond.Null, false), bond.KindUInt64)
 	if !ok || empty || !loInc || lo.AsUint() > math.MaxUint64-1024 {
 		t.Errorf("ge 2^64 on uint64 lo = %d/%v ok=%v empty=%v, want widened inclusive", lo.AsUint(), loInc, ok, empty)
+	}
+}
+
+// numSchema: four numeric kinds, each secondary-indexed, each with a
+// non-indexed twin holding the same values (i%3).
+var numSchema = bond.MustSchema("num",
+	bond.FReq(0, "id", bond.TString),
+	bond.F(1, "fi", bond.TInt32),
+	bond.F(2, "fu", bond.TUInt64),
+	bond.F(3, "ff", bond.TFloat),
+	bond.F(4, "fd", bond.TDouble),
+	bond.F(5, "ti", bond.TInt32),
+	bond.F(6, "tu", bond.TUInt64),
+	bond.F(7, "tf", bond.TFloat),
+	bond.F(8, "td", bond.TDouble),
+)
+
+var hubSchema = bond.MustSchema("hub", bond.FReq(0, "id", bond.TString))
+
+const numItems = 60
+
+func newNumEnv(t *testing.T) (*Engine, *core.Graph, *fabric.Ctx) {
+	t.Helper()
+	fab := fabric.New(fabric.DefaultConfig(6, fabric.Direct), nil)
+	f := farm.Open(fab, farm.Config{RegionSize: 16 << 20})
+	c := fab.NewCtx(0, nil)
+	s, err := core.Open(c, f, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateTenant(c, "t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreateGraph(c, "t", "g"); err != nil {
+		t.Fatal(err)
+	}
+	g, err := s.OpenGraph(c, "t", "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.CreateVertexType(c, "num", numSchema, "id", "fi", "fu", "ff", "fd"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.CreateVertexType(c, "hub", hubSchema, "id"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.CreateEdgeType(c, "has", nil); err != nil {
+		t.Fatal(err)
+	}
+	err = farm.RunTransaction(c, f, func(tx *farm.Tx) error {
+		hub, err := g.CreateVertex(tx, "hub", bond.Struct(bond.FV(0, bond.String("h"))))
+		if err != nil {
+			return err
+		}
+		for i := 0; i < numItems; i++ {
+			k := i % 3
+			vp, err := g.CreateVertex(tx, "num", bond.Struct(
+				bond.FV(0, bond.String(fmt.Sprintf("n%02d", i))),
+				bond.FV(1, bond.Int32(int32(k))), bond.FV(5, bond.Int32(int32(k))),
+				bond.FV(2, bond.UInt64(uint64(k))), bond.FV(6, bond.UInt64(uint64(k))),
+				bond.FV(3, bond.Float(float32(k))), bond.FV(7, bond.Float(float32(k))),
+				bond.FV(4, bond.Double(float64(k))), bond.FV(8, bond.Double(float64(k))),
+			))
+			if err != nil {
+				return err
+			}
+			if err := g.CreateEdge(tx, hub, "has", vp, bond.Null); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewEngine(s, DefaultConfig()), g, c
+}
+
+// TestIndexedEqualityCoercesLiteralKind: an equality literal whose kind
+// differs from the indexed field's stored kind (A1QL numbers arrive as
+// int64 or double) must find what the per-vertex comparison finds — the
+// same count as the query on the non-indexed twin — both when the index
+// serves the root (IndexScan) and when it filters a traversal frontier
+// (IndexFilter). The planner's estimate looks up the coerced value too.
+func TestIndexedEqualityCoercesLiteralKind(t *testing.T) {
+	e, g, c := newNumEnv(t)
+	count := func(doc string) *Result {
+		t.Helper()
+		res, err := e.Execute(c, g, []byte(doc))
+		if err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		return res
+	}
+	pairs := [][2]string{{"fi", "ti"}, {"fu", "tu"}, {"ff", "tf"}, {"fd", "td"}}
+	literals := []string{"1", "1.0", "2", "0", "0.0", "1.5", "-1", "1e30"}
+	for _, p := range pairs {
+		for _, lit := range literals {
+			root := `{"_type": "num", %q: %s, "_select": ["_count(*)"]}`
+			idx := count(fmt.Sprintf(root, p[0], lit))
+			twin := count(fmt.Sprintf(root, p[1], lit))
+			label := fmt.Sprintf("root %s = %s", p[0], lit)
+			if idx.Count != twin.Count {
+				t.Errorf("%s: count %d, twin %s counts %d", label, idx.Count, p[1], twin.Count)
+			}
+			if src := idx.Stats.Levels[0].Source; !strings.HasPrefix(src, "IndexScan(") {
+				t.Errorf("%s: source %s, want IndexScan", label, src)
+			}
+			if est := idx.Stats.Levels[0].EstRows; est != twin.Count {
+				t.Errorf("%s: est=%d, want %d", label, est, twin.Count)
+			}
+
+			hop := `{"_type": "hub", "id": "h", "_out_edge": {"_type": "has", "_vertex": {"_type": "num", %q: %s, "_select": ["_count(*)"]}}}`
+			idx = count(fmt.Sprintf(hop, p[0], lit))
+			twin = count(fmt.Sprintf(hop, p[1], lit))
+			label = fmt.Sprintf("traversal %s = %s", p[0], lit)
+			if idx.Count != twin.Count {
+				t.Errorf("%s: count %d, twin %s counts %d", label, idx.Count, p[1], twin.Count)
+			}
+			if idx.Stats.IndexFiltered != numItems-twin.Count {
+				t.Errorf("%s: IndexFiltered = %d, want %d", label, idx.Stats.IndexFiltered, numItems-twin.Count)
+			}
+		}
 	}
 }

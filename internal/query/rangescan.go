@@ -115,6 +115,23 @@ func coerceRange(s *rangeSpec, k bond.Kind) (lo bond.Value, loInc bool, hi bond.
 	return lo, loInc, hi, hiInc, true, false
 }
 
+// coerceEq converts an equality constant to the indexed field's stored
+// kind as the range [v, v]: the index keys are kind-tagged, so the raw
+// literal of another numeric kind (A1QL constants are int64 or double)
+// would match no entry. ok=false means the constant cannot be coerced and
+// only a kind-exact match is possible; empty=true means no stored value
+// can equal it, which the evaluator's numeric comparison agrees with.
+func coerceEq(v bond.Value, k bond.Kind) (lo, hi bond.Value, ok, empty bool) {
+	// Inclusive bounds stay inclusive under coercion; a bound past the
+	// kind's domain drops to Null (unbounded).
+	lo, _, hi, _, ok, empty = coerceRange(&rangeSpec{lo: v, loInc: true, hi: v, hiInc: true}, k)
+	if ok && !empty && !lo.IsNull() && !hi.IsNull() && hi.Less(lo) {
+		// A fraction on an integer kind rounds to an inverted range.
+		empty = true
+	}
+	return lo, hi, ok, empty
+}
+
 // coerceBound converts one bound value to kind k. isLo distinguishes which
 // direction "widening" must round toward.
 func coerceBound(v bond.Value, inc bool, k bond.Kind, isLo bool) (bond.Value, bool, boundStatus) {
