@@ -26,6 +26,12 @@ import (
 // drains, on Release, on a coordinator crash (DropResultsOn), on a Fetch
 // of its token after the TTL, or — for an abandoned cursor — at the first
 // put into its machine's store after the TTL.
+//
+// The worker run tails behind a grouped source die with it: closing the
+// source (drain, Release, a failed page, expiry) drops those still parked,
+// and a grouping whose fan-out fails drops the tails its other batches
+// parked. Only a coordinator crash leaves them to the TTL of the workers'
+// run stores.
 
 // pageSource is the rest of one paged result: a materialized row slice
 // (rowSlice), the streamed group merge behind its _skip/_limit pager
@@ -124,6 +130,25 @@ func (s *ttlStore[T]) restore(id uint64, ent *ttlEntry[T]) {
 	if !live && s.drop != nil {
 		s.drop(ent.val)
 	}
+}
+
+// remove drops the entry under id at once, whatever its deadline. An id
+// no longer in the store (drained, swept or claimed) is a no-op.
+func (s *ttlStore[T]) remove(id uint64) {
+	s.mu.Lock()
+	ent, ok := s.entries[id]
+	delete(s.entries, id)
+	s.mu.Unlock()
+	if ok && s.drop != nil {
+		s.drop(ent.val)
+	}
+}
+
+// generation counts the resets (crashes) the store has seen.
+func (s *ttlStore[T]) generation() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.gen
 }
 
 // expire drops every entry past its deadline and returns how many.
@@ -279,9 +304,7 @@ func (e *Engine) Release(c *fabric.Ctx, token string) error {
 	if m := fabric.MachineID(p.M); m != c.M {
 		return classify(fmt.Errorf("%w: token belongs to %v, released on %v", ErrBadToken, m, c.M))
 	}
-	if ent, ok := e.cursors[c.M].claim(c, p.ID); ok {
-		ent.val.close(e)
-	}
+	e.cursors[c.M].remove(p.ID)
 	return nil
 }
 

@@ -20,7 +20,12 @@ import (
 // residual filtering, traversal, shaping, grouping — and this file supplies
 // the distributed *how*: partitioning frontiers by primary host, shipping
 // batched operators to the machines owning the data, and merging replies at
-// the coordinator (paper §3.4, Figure 9).
+// the coordinator (paper §3.4, Figure 9). Every owner-side step — a plain
+// level, an ordered traversal terminal, a worker grouping, a `_recurse`
+// iteration — goes through one partition (partition) and one
+// ship-or-read fan-out (fanOut); callers supply only the batch function
+// and the fold of its replies. A grouping's replies leave run tails parked
+// on the workers; its cursor drops them when it closes (groupstream.go).
 
 // Errors surfaced by the engine.
 var (
@@ -1008,72 +1013,34 @@ func (st *execState) execOrderedTraverse(qc *fabric.Ctx, frontier []core.VertexP
 		return nil, false, nil
 	}
 	target := pat.Limit + pat.Skip
-	f := st.engine.store.Farm()
-	groups := make(map[fabric.MachineID][]core.VertexPtr)
-	var order []fabric.MachineID
-	for _, vp := range frontier {
-		m, err := f.PrimaryOf(qc, vp.Addr)
-		if err != nil {
-			return nil, false, err
-		}
-		s, ok := groups[m]
-		if !ok {
-			order = append(order, m)
-			s = st.bufs.getPtrs()
-		}
-		groups[m] = append(s, vp)
+	o, err := st.partition(qc, frontier)
+	if err != nil {
+		return nil, false, err
 	}
-	lists := make([][]Row, len(order))
-	var mu sync.Mutex
-	var firstErr error
+	type memberScan struct {
+		rows   []Row
+		served bool
+	}
+	lists := make([][]Row, len(o.ms))
 	notServed := false
-	qc.Parallel(len(order), func(i int, cc *fabric.Ctx) {
-		m := order[i]
-		batch := groups[m]
-		ship := !st.hints.NoShipping && m != cc.M && len(batch) >= st.engine.cfg.ShipThreshold
-		var rows []Row
-		var served bool
-		var err error
-		var rb int
-		defer st.bufs.putPtrs(batch)
-		if ship {
-			reqBytes := len(batch)*ptrWireBytes + 128
-			err = cc.RPC(m, reqBytes, func(sc *fabric.Ctx) (int, error) {
-				rows, served, err = st.orderedMemberScan(sc, batch, pat, otp, target)
-				if err != nil {
-					return 0, err
-				}
-				rb = 0
-				for r := range rows {
-					rb += rows[r].wireBytes()
-				}
-				return rb, nil
-			})
-		} else {
-			rows, served, err = st.orderedMemberScan(cc, batch, pat, otp, target)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+	err = fanOut(st, qc, o, &st.stats.RowsShipped,
+		func(sc *fabric.Ctx, _ fabric.MachineID, batch []core.VertexPtr) (memberScan, error) {
+			rows, served, err := st.orderedMemberScan(sc, batch, pat, otp, target)
+			return memberScan{rows, served}, err
+		},
+		func(ms memberScan) (int, int) {
+			rb := 0
+			for r := range ms.rows {
+				rb += ms.rows[r].wireBytes()
 			}
-			return
-		}
-		if !served {
-			notServed = true
-			return
-		}
-		if ship {
-			st.mu.Lock()
-			st.stats.RowsShipped += int64(len(rows))
-			st.stats.BytesShipped += int64(rb)
-			st.mu.Unlock()
-		}
-		lists[i] = rows
-	})
-	if firstErr != nil {
-		return nil, false, firstErr
+			return rb, len(ms.rows)
+		},
+		func(i int, ms memberScan) {
+			lists[i] = ms.rows
+			notServed = notServed || !ms.served
+		})
+	if err != nil {
+		return nil, false, err
 	}
 	if notServed {
 		return nil, false, nil
@@ -1399,10 +1366,11 @@ func (st *execState) buildMemberFilter(qc *fabric.Ctx, tx *farm.Tx, pat *VertexP
 
 // levelOutput is the merged product of one hop.
 type levelOutput struct {
-	next   []core.VertexPtr
-	rows   []Row
-	aggs   []aggState             // partial aggregates, parallel to the level's Aggs
-	groups map[string]*groupState // grouped-aggregate partials (_groupby)
+	next     []core.VertexPtr
+	rows     []Row
+	aggs     []aggState             // partial aggregates, parallel to the level's Aggs
+	groups   map[string]*groupState // grouped-aggregate partials (_groupby)
+	accepted int                    // `_recurse`: candidates past the owners' visited filters
 }
 
 // ptrWireBytes is the encoded size of a fat pointer (addr + size).
@@ -1444,10 +1412,11 @@ func (g *groupState) wireBytes(enc string) int {
 	return n
 }
 
-// replyBytes is the wire size of one batch's reply: fat pointers for the
-// next frontier, Bond-encoded projected rows, and aggregate partials.
-// Grouped replies are sorted runs and size themselves (runWireBytes).
-func (o *levelOutput) replyBytes() int {
+// wire sizes one batch's shipped reply: its bytes (fat pointers for the
+// next frontier, Bond-encoded projected rows, aggregate partials) and the
+// rows it carries. Grouped replies are sorted runs and size themselves
+// (runWireBytes).
+func (o *levelOutput) wire() (bytes, rows int) {
 	n := len(o.next) * ptrWireBytes
 	for i := range o.rows {
 		n += o.rows[i].wireBytes()
@@ -1455,51 +1424,94 @@ func (o *levelOutput) replyBytes() int {
 	for i := range o.aggs {
 		n += o.aggs[i].wireBytes()
 	}
-	return n
+	return n, len(o.rows)
 }
 
-// execLevel partitions the frontier by primary host and executes the
-// level's operators near the data: machines with enough vertices receive a
-// batched RPC (query shipping); stragglers are evaluated from the
-// coordinator over one-sided reads (§3.4, Figure 9).
-func (st *execState) execLevel(qc *fabric.Ctx, frontier []core.VertexPtr, pat *VertexPattern, lp *LevelPlan) (*levelOutput, error) {
+// owners is a frontier partitioned by primary host: the owning machines in
+// order of first appearance and each one's pooled slice of the frontier.
+type owners struct {
+	ms      []fabric.MachineID
+	batches map[fabric.MachineID][]core.VertexPtr
+}
+
+// partition splits a frontier by primary host — the first step of every
+// owner-side fan-out (fanOut).
+func (st *execState) partition(qc *fabric.Ctx, frontier []core.VertexPtr) (owners, error) {
 	f := st.engine.store.Farm()
-	groups := make(map[fabric.MachineID][]core.VertexPtr)
-	var order []fabric.MachineID
+	o := owners{batches: make(map[fabric.MachineID][]core.VertexPtr)}
 	for _, vp := range frontier {
 		m, err := f.PrimaryOf(qc, vp.Addr)
 		if err != nil {
-			return nil, err
+			o.release(st.bufs)
+			return owners{}, err
 		}
-		s, ok := groups[m]
+		s, ok := o.batches[m]
 		if !ok {
-			order = append(order, m)
+			o.ms = append(o.ms, m)
 			s = st.bufs.getPtrs()
 		}
-		groups[m] = append(s, vp)
+		o.batches[m] = append(s, vp)
 	}
-	merged := &levelOutput{}
+	return o, nil
+}
+
+// release returns the per-machine slices to the pool.
+func (o owners) release(bufs *execBufs) {
+	for _, m := range o.ms {
+		bufs.putPtrs(o.batches[m])
+	}
+}
+
+// fanOut runs one owner-side batch per machine of o, in parallel, and then
+// returns the batches to the pool. A machine other than the coordinator
+// owning at least ShipThreshold vertices receives its batch as one RPC
+// (query shipping); the rest are evaluated from the coordinator over
+// one-sided reads (paper §3.4, Figure 9). run executes machine m's batch
+// on the context it is handed, sampled by Config.RDMASampler when one is
+// set. reply sizes a shipped result: its wire bytes, which count toward
+// BytesShipped, and the rows or groups it carries, which count toward
+// *shipped. fold merges each successful result, one at a time, in
+// completion order. The first error is returned.
+func fanOut[T any](st *execState, qc *fabric.Ctx, o owners, shipped *int64,
+	run func(sc *fabric.Ctx, m fabric.MachineID, batch []core.VertexPtr) (T, error),
+	reply func(T) (bytes, items int),
+	fold func(i int, out T)) error {
+	e := st.engine
 	var mu sync.Mutex
 	var firstErr error
-	qc.Parallel(len(order), func(i int, cc *fabric.Ctx) {
-		m := order[i]
-		batch := groups[m]
-		ship := !st.hints.NoShipping && m != cc.M && len(batch) >= st.engine.cfg.ShipThreshold
-		var out *levelOutput
+	qc.Parallel(len(o.ms), func(i int, cc *fabric.Ctx) {
+		m := o.ms[i]
+		batch := o.batches[m]
+		call := func(sc *fabric.Ctx) (T, error) {
+			if sample := e.cfg.RDMASampler; sample != nil {
+				// Measure this batch's one-sided reads separately, then
+				// fold them back into the query's stats.
+				local := &fabric.OpStats{}
+				parent := sc.Stats
+				sc = sc.WithStats(local)
+				defer func() {
+					sample(int(local.RemoteReads.Load()), time.Duration(local.RDMAReadTime.Load()))
+					if parent != nil {
+						parent.Merge(local)
+					}
+				}()
+			}
+			return run(sc, m, batch)
+		}
+		ship := !st.hints.NoShipping && m != cc.M && len(batch) >= e.cfg.ShipThreshold
+		var out T
 		var err error
-		var rb int
+		var rb, n int
 		if ship {
-			reqBytes := len(batch)*ptrWireBytes + 128
-			err = cc.RPC(m, reqBytes, func(sc *fabric.Ctx) (int, error) {
-				out, err = st.execBatch(sc, batch, pat, lp)
-				if err != nil {
+			err = cc.RPC(m, len(batch)*ptrWireBytes+128, func(sc *fabric.Ctx) (int, error) {
+				if out, err = call(sc); err != nil {
 					return 0, err
 				}
-				rb = out.replyBytes()
+				rb, n = reply(out)
 				return rb, nil
 			})
 		} else {
-			out, err = st.execBatch(cc, batch, pat, lp)
+			out, err = call(cc)
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -1511,36 +1523,56 @@ func (st *execState) execLevel(qc *fabric.Ctx, frontier []core.VertexPtr, pat *V
 		}
 		if ship {
 			st.mu.Lock()
-			st.stats.RowsShipped += int64(len(out.rows))
+			*shipped += int64(n)
 			st.stats.BytesShipped += int64(rb)
 			st.mu.Unlock()
 		}
+		fold(i, out)
+	})
+	o.release(st.bufs)
+	return firstErr
+}
+
+// foldLevel fans a frontier out to its owners and merges their level
+// outputs: next frontiers and rows append (the batches' slice headers go
+// back to the pool, never the rows' own buffers), aggregate partials merge
+// against shape's Aggs, and with prune set an ordered limit never holds
+// more than the top K(+skip) rows.
+func (st *execState) foldLevel(qc *fabric.Ctx, frontier []core.VertexPtr, shape *VertexPattern, prune bool,
+	run func(sc *fabric.Ctx, m fabric.MachineID, batch []core.VertexPtr) (*levelOutput, error)) (*levelOutput, error) {
+	o, err := st.partition(qc, frontier)
+	if err != nil {
+		return nil, err
+	}
+	merged := &levelOutput{}
+	err = fanOut(st, qc, o, &st.stats.RowsShipped, run, (*levelOutput).wire, func(_ int, out *levelOutput) {
+		merged.accepted += out.accepted
 		merged.next = append(merged.next, out.next...)
 		merged.rows = append(merged.rows, out.rows...)
-		// The batch's slices were copied out by the appends above; only
-		// the slice headers die here, never the rows' own buffers.
 		st.bufs.putPtrs(out.next)
 		st.bufs.putRows(out.rows)
 		if out.aggs != nil {
 			if merged.aggs == nil {
-				merged.aggs = make([]aggState, len(pat.Aggs))
+				merged.aggs = make([]aggState, len(shape.Aggs))
 			}
-			mergeAggStates(merged.aggs, out.aggs, pat.Aggs)
+			mergeAggStates(merged.aggs, out.aggs, shape.Aggs)
 		}
-		// Ordered-limit merge: never hold more than the top K(+skip) rows.
-		if lp.Terminal && st.keep > 0 && len(merged.rows) > 2*st.keep {
-			merged.rows = topK(st.bufs, merged.rows, pat.Orders, st.keep)
+		if prune && st.keep > 0 && len(merged.rows) > 2*st.keep {
+			merged.rows = topK(st.bufs, merged.rows, shape.Orders, st.keep)
 		}
 	})
-	// Every batch finished; the per-machine frontier slices (values already
-	// copied into each batch's output) go back to the pool.
-	for _, m := range order {
-		st.bufs.putPtrs(groups[m])
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	return merged, nil
+}
+
+// execLevel executes one level's operators near the data (execBatch on
+// each owner's slice of the frontier).
+func (st *execState) execLevel(qc *fabric.Ctx, frontier []core.VertexPtr, pat *VertexPattern, lp *LevelPlan) (*levelOutput, error) {
+	return st.foldLevel(qc, frontier, pat, lp.Terminal, func(sc *fabric.Ctx, _ fabric.MachineID, batch []core.VertexPtr) (*levelOutput, error) {
+		return st.execBatch(sc, batch, pat, lp)
+	})
 }
 
 // execBatch runs one level's operators for a batch of vertices on whatever
@@ -1549,19 +1581,6 @@ func (st *execState) execLevel(qc *fabric.Ctx, frontier []core.VertexPtr, pat *V
 func (st *execState) execBatch(sc *fabric.Ctx, batch []core.VertexPtr, pat *VertexPattern, lp *LevelPlan) (*levelOutput, error) {
 	e := st.engine
 	g := st.graph
-	if e.cfg.RDMASampler != nil {
-		// Measure this batch's one-sided reads separately, then fold them
-		// back into the query's stats.
-		local := &fabric.OpStats{}
-		parent := sc.Stats
-		sc = sc.WithStats(local)
-		defer func() {
-			e.cfg.RDMASampler(int(local.RemoteReads.Load()), time.Duration(local.RDMAReadTime.Load()))
-			if parent != nil {
-				parent.Merge(local)
-			}
-		}()
-	}
 	tx := e.store.Farm().CreateReadTransactionAt(sc, st.ts)
 	terminal := lp.Terminal
 	out := &levelOutput{}

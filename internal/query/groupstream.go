@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"a1/internal/bond"
@@ -249,68 +248,21 @@ type runReply struct {
 // cursor k-way merges the runs lazily — pulling parked run tails chunk by
 // chunk as the result pages out.
 func (st *execState) execGroupedLevel(qc *fabric.Ctx, frontier []core.VertexPtr, pat *VertexPattern, lp *LevelPlan) (*groupCursor, error) {
-	f := st.engine.store.Farm()
-	parts := make(map[fabric.MachineID][]core.VertexPtr)
-	var order []fabric.MachineID
-	for _, vp := range frontier {
-		m, err := f.PrimaryOf(qc, vp.Addr)
-		if err != nil {
-			return nil, err
-		}
-		s, ok := parts[m]
-		if !ok {
-			order = append(order, m)
-			s = st.bufs.getPtrs()
-		}
-		parts[m] = append(s, vp)
+	o, err := st.partition(qc, frontier)
+	if err != nil {
+		return nil, err
 	}
 	// One machine owns the whole terminal frontier: its partial states are
 	// the final states, so `_having` evaluates exactly at the worker and the
 	// coordinator re-check is redundant.
-	exact := len(order) == 1
-	replies := make([]*runReply, len(order))
-	var mu sync.Mutex
-	var firstErr error
-	qc.Parallel(len(order), func(i int, cc *fabric.Ctx) {
-		m := order[i]
-		batch := parts[m]
-		ship := !st.hints.NoShipping && m != cc.M && len(batch) >= st.engine.cfg.ShipThreshold
-		var rep *runReply
-		var err error
-		var rb int
-		defer st.bufs.putPtrs(batch)
-		if ship {
-			reqBytes := len(batch)*ptrWireBytes + 128
-			err = cc.RPC(m, reqBytes, func(sc *fabric.Ctx) (int, error) {
-				rep, err = st.buildGroupSource(sc, batch, pat, lp, exact)
-				if err != nil {
-					return 0, err
-				}
-				rb = runWireBytes(rep.first)
-				return rb, nil
-			})
-		} else {
-			rep, err = st.buildGroupSource(cc, batch, pat, lp, exact)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		if ship {
-			st.mu.Lock()
-			st.stats.GroupsShipped += int64(countStates(rep.first))
-			st.stats.BytesShipped += int64(rb)
-			st.mu.Unlock()
-		}
-		replies[i] = rep
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
+	exact := len(o.ms) == 1
+	replies := make([]*runReply, len(o.ms))
+	err = fanOut(st, qc, o, &st.stats.GroupsShipped,
+		func(sc *fabric.Ctx, _ fabric.MachineID, batch []core.VertexPtr) (*runReply, error) {
+			return st.buildGroupSource(sc, batch, pat, lp, exact)
+		},
+		func(rep *runReply) (int, int) { return runWireBytes(rep.first), countStates(rep.first) },
+		func(i int, rep *runReply) { replies[i] = rep })
 	cur := &groupCursor{
 		e:      st.engine,
 		merge:  kMerge[groupEntry]{runs: make([]mergeRun[groupEntry], 0, len(replies)), less: groupEntryLess},
@@ -318,9 +270,19 @@ func (st *execState) execGroupedLevel(qc *fabric.Ctx, frontier []core.VertexPtr,
 		aggs:   pat.Aggs,
 		having: pat.Having,
 		exact:  exact,
+		coord:  qc.M,
+		gen:    st.engine.cursors[qc.M].generation(),
 	}
 	for _, rep := range replies {
-		cur.merge.add(rep.first, cur.puller(rep.m, rep.tail))
+		if rep != nil {
+			cur.add(rep)
+		}
+	}
+	if err != nil {
+		// The batches that succeeded parked their run tails: drop them now
+		// instead of at their TTL.
+		cur.close(st.engine)
+		return nil, err
 	}
 	if r := cur.resident(); r > st.stats.PeakGroups {
 		st.stats.PeakGroups = r
@@ -397,17 +359,33 @@ type groupCursor struct {
 	having []HavingPred
 	exact  bool
 	unpin  func() // releases an IndexGroupScan's snapshot pin; nil for worker runs
+	// tails are the worker run tails the merge may still pull; close drops
+	// those left parked. coord and gen name the coordinator's cursor store
+	// and its crash generation when the cursor was made: a cursor torn
+	// down by its coordinator's crash leaves them to their TTL.
+	tails []runTail
+	coord fabric.MachineID
+	gen   uint64
 }
 
-// puller returns the pull function for a run whose tail is parked on m
-// under id (nil when the first chunk was the whole run). Remote pulls
-// account their reply bytes and shipped states like any worker RPC.
-func (cur *groupCursor) puller(m fabric.MachineID, id uint64) func(*fabric.Ctx, *Stats) ([]groupEntry, bool, error) {
-	if id == 0 {
-		return nil
+// runTail names a run tail parked in machine m's run store under id.
+type runTail struct {
+	m  fabric.MachineID
+	id uint64
+}
+
+// add feeds one worker's run into the merge: its first chunk, then the
+// tail it parked (if any), pulled chunk by chunk. Remote pulls account
+// their reply bytes and shipped states like any worker RPC.
+func (cur *groupCursor) add(rep *runReply) {
+	if rep.tail == 0 {
+		cur.merge.add(rep.first, nil)
+		return
 	}
+	m, id := rep.m, rep.tail
+	cur.tails = append(cur.tails, runTail{m, id})
 	e := cur.e
-	return func(c *fabric.Ctx, stats *Stats) ([]groupEntry, bool, error) {
+	cur.merge.add(rep.first, func(c *fabric.Ctx, stats *Stats) ([]groupEntry, bool, error) {
 		var entries []groupEntry
 		var more bool
 		var err error
@@ -436,7 +414,7 @@ func (cur *groupCursor) puller(m fabric.MachineID, id uint64) func(*fabric.Ctx, 
 			stats.PeakGroups = r
 		}
 		return entries, more, nil
-	}
+	})
 }
 
 // resident counts the group entries currently buffered at the coordinator.
@@ -493,14 +471,21 @@ func (cur *groupCursor) nextRow(c *fabric.Ctx, stats *Stats) (GroupRow, bool, er
 	return groupRowOf(gs, cur.by, cur.aggs), true, nil
 }
 
-// close releases the snapshot pin of an IndexGroupScan run. Parked run
-// tails on the workers expire by TTL, exactly like coordinator
-// continuation state (a worker cannot rely on a crashed coordinator to
-// release it).
-func (cur *groupCursor) close(*Engine) {
+// close releases the snapshot pin of an IndexGroupScan run and drops the
+// worker run tails still parked — a drained tail is already gone. Only a
+// cursor whose coordinator crashed leaves its tails to expire by TTL on
+// the workers, as real workers cannot rely on a crashed coordinator to
+// release them. The drops are untimed, like DropResultsOn.
+func (cur *groupCursor) close(e *Engine) {
 	if cur.unpin != nil {
 		cur.unpin()
 	}
+	if len(cur.tails) > 0 && e.cursors[cur.coord].generation() == cur.gen {
+		for _, t := range cur.tails {
+			e.runs[t.m].remove(t.id)
+		}
+	}
+	cur.tails = nil
 }
 
 // Index-only grouping (IndexGroupScan). A whole-type `_groupby` of one

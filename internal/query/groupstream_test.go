@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -387,6 +388,82 @@ func TestGroupRunStoreExpiry(t *testing.T) {
 	if n := e.PendingRuns(c.M); n != 1 {
 		t.Fatalf("PendingRuns after a put past the TTL = %d, want 1 (the new tail)", n)
 	}
+}
+
+// TestRunTailsDieWithCursor: worker run tails die with the cursor that
+// merges them — on Release, when a limited grouping ends in one page, and
+// when the fan-out fails — not at their TTL.
+func TestRunTailsDieWithCursor(t *testing.T) {
+	const doc = `{"_type": "product", "_groupby": "category", "_select": ["_count(*)", "_sum(score)"]`
+	env := func(t *testing.T) (*Engine, *core.Graph, *fabric.Ctx) {
+		e, _, g, c := newSkewEnv(t)
+		e.cfg.GroupChunk = 2
+		e.cfg.PageSize = 5
+		return e, g, c
+	}
+	t.Run("release", func(t *testing.T) {
+		e, g, c := env(t)
+		res, err := e.Execute(c, g, []byte(doc+"}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Continuation == "" {
+			t.Fatal("expected a continuation")
+		}
+		if err := e.Release(c, res.Continuation); err != nil {
+			t.Fatal(err)
+		}
+		assertNothingPending(t, e, "after Release")
+	})
+	t.Run("limit", func(t *testing.T) {
+		e, g, c := env(t)
+		res, err := e.Execute(c, g, []byte(doc+`, "_limit": 3}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Groups) != 3 || res.Continuation != "" {
+			t.Fatalf("%d groups, continuation %q; want 3 in one page", len(res.Groups), res.Continuation)
+		}
+		assertNothingPending(t, e, "after a one-page _limit")
+	})
+	t.Run("failed owner", func(t *testing.T) {
+		e, g, c := env(t)
+		fab := e.store.Farm().Fabric()
+		for m := fabric.MachineID(1); int(m) < fab.Machines(); m++ {
+			fab.Fail(m)
+			if _, err := e.Execute(c, g, []byte(doc+"}")); !errors.Is(err, fabric.ErrUnreachable) {
+				t.Fatalf("machine %d failed: err = %v, want ErrUnreachable", m, err)
+			}
+			assertNothingPending(t, e, fmt.Sprintf("machine %d failed", m))
+			fab.Restore(m)
+		}
+	})
+	// A crashed coordinator cannot tell its workers: their tails stay
+	// parked until the TTL.
+	t.Run("coordinator crash", func(t *testing.T) {
+		e, g, c := env(t)
+		e.cfg.ResultTTL = 20 * time.Millisecond
+		res, err := e.Execute(c, g, []byte(doc+"}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Continuation == "" {
+			t.Fatal("expected a continuation")
+		}
+		e.DropResultsOn(c.M)
+		parked := 0
+		for m := 0; m < e.store.Farm().Fabric().Machines(); m++ {
+			parked += e.PendingRuns(fabric.MachineID(m))
+		}
+		if parked == 0 {
+			t.Fatal("no worker tail outlived the crash; want them left to their TTL")
+		}
+		time.Sleep(30 * time.Millisecond)
+		for m := 0; m < e.store.Farm().Fabric().Machines(); m++ {
+			e.ExpireResults(c.At(fabric.MachineID(m)))
+		}
+		assertNothingPending(t, e, "after the TTL")
+	})
 }
 
 // TestCrashDuringPagingLeavesNothing: a crash (DropResultsOn) that lands

@@ -403,25 +403,6 @@ func TestWorkingSetFastFail(t *testing.T) {
 	}
 }
 
-func TestNoShippingHintEquivalence(t *testing.T) {
-	env := newTestEnv(t, 9)
-	shipped, err := env.engine.Execute(env.c, env.graph, []byte(q1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc = `{"_hints": {"no_shipping": true}, ` + q1[1:]
-	direct, err := env.engine.Execute(env.c, env.graph, []byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shipped.Count != direct.Count {
-		t.Errorf("shipped count %d != no-shipping count %d", shipped.Count, direct.Count)
-	}
-	if direct.Stats.RPCs >= shipped.Stats.RPCs && shipped.Stats.RPCs > 0 {
-		t.Errorf("no-shipping used %d RPCs vs %d shipped", direct.Stats.RPCs, shipped.Stats.RPCs)
-	}
-}
-
 func TestInEdgeTraversal(t *testing.T) {
 	env := newTestEnv(t, 9)
 	// Who directed films? Traverse director.film backwards from a film.

@@ -82,7 +82,7 @@ func (st *execState) execRecurse(qc *fabric.Ctx, frontier []core.VertexPtr, host
 	// hop's candidates.
 	roots := dedupPtrs(st.bufs, frontier)
 	rr.working = len(roots)
-	seed, _, err := rr.runPhase(qc, roots, 0)
+	seed, err := rr.runPhase(qc, roots, 0)
 	if err != nil {
 		rr.release()
 		return nil, nil, nil, err
@@ -139,13 +139,13 @@ func (rr *recurseRun) step(qc *fabric.Ctx) ([]Row, error) {
 		return nil, nil
 	}
 	cand := dedupPtrs(st.bufs, rr.cur)
-	out, accepted, err := rr.runPhase(qc, cand, k)
+	out, err := rr.runPhase(qc, cand, k)
 	if err != nil {
 		return nil, err
 	}
 	st.stats.Hops++
-	rr.setIterAct(k, accepted)
-	rr.working += accepted
+	rr.setIterAct(k, out.accepted)
+	rr.working += out.accepted
 	if rr.working > e.cfg.MaxWorkingSet {
 		return nil, fmt.Errorf("%w: %d vertices visited", ErrWorkingSet, rr.working)
 	}
@@ -167,103 +167,23 @@ func (rr *recurseRun) step(qc *fabric.Ctx) ([]Row, error) {
 	return out.rows, nil
 }
 
-// runPhase partitions one iteration's frontier by primary host and runs
-// the owner-side batches — seed (k=0) or expansion (k>=1) — shipping
-// batches past ShipThreshold as RPCs exactly like execLevel. accepted
-// counts the candidates that survived the owners' visited filters.
-func (rr *recurseRun) runPhase(qc *fabric.Ctx, frontier []core.VertexPtr, k int) (*levelOutput, int, error) {
-	st := rr.st
-	f := st.engine.store.Farm()
-	groups := make(map[fabric.MachineID][]core.VertexPtr)
-	var order []fabric.MachineID
-	for _, vp := range frontier {
-		m, err := f.PrimaryOf(qc, vp.Addr)
-		if err != nil {
-			return nil, 0, err
+// runPhase runs one iteration's owner-side batches — seed (k=0) or
+// expansion (k>=1) — through the same fan-out and fold as execLevel.
+// The output's accepted counts the candidates that survived the owners'
+// visited filters.
+func (rr *recurseRun) runPhase(qc *fabric.Ctx, frontier []core.VertexPtr, k int) (*levelOutput, error) {
+	return rr.st.foldLevel(qc, frontier, rr.term, true, func(sc *fabric.Ctx, m fabric.MachineID, batch []core.VertexPtr) (*levelOutput, error) {
+		if k == 0 {
+			return rr.seedBatch(sc, m, batch)
 		}
-		s, ok := groups[m]
-		if !ok {
-			order = append(order, m)
-			s = st.bufs.getPtrs()
-		}
-		groups[m] = append(s, vp)
-	}
-	merged := &levelOutput{}
-	accepted := 0
-	var mu sync.Mutex
-	var firstErr error
-	qc.Parallel(len(order), func(i int, cc *fabric.Ctx) {
-		m := order[i]
-		batch := groups[m]
-		ship := !st.hints.NoShipping && m != cc.M && len(batch) >= st.engine.cfg.ShipThreshold
-		var out *levelOutput
-		var acc int
-		var err error
-		var rb int
-		run := func(sc *fabric.Ctx) error {
-			if k == 0 {
-				out, acc, err = rr.seedBatch(sc, m, batch)
-			} else {
-				out, acc, err = rr.expandBatch(sc, m, batch, k)
-			}
-			return err
-		}
-		if ship {
-			reqBytes := len(batch)*ptrWireBytes + 128
-			err = cc.RPC(m, reqBytes, func(sc *fabric.Ctx) (int, error) {
-				if err := run(sc); err != nil {
-					return 0, err
-				}
-				rb = out.replyBytes()
-				return rb, nil
-			})
-		} else {
-			err = run(cc)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		if ship {
-			st.mu.Lock()
-			st.stats.RowsShipped += int64(len(out.rows))
-			st.stats.BytesShipped += int64(rb)
-			st.mu.Unlock()
-		}
-		accepted += acc
-		merged.next = append(merged.next, out.next...)
-		merged.rows = append(merged.rows, out.rows...)
-		// Values were copied out by the appends; only the batch slice
-		// headers are recycled, never the rows' own buffers.
-		st.bufs.putPtrs(out.next)
-		st.bufs.putRows(out.rows)
-		if out.aggs != nil {
-			if merged.aggs == nil {
-				merged.aggs = make([]aggState, len(rr.term.Aggs))
-			}
-			mergeAggStates(merged.aggs, out.aggs, rr.term.Aggs)
-		}
-		if st.keep > 0 && len(merged.rows) > 2*st.keep {
-			merged.rows = topK(st.bufs, merged.rows, rr.term.Orders, st.keep)
-		}
+		return rr.expandBatch(sc, m, batch, k)
 	})
-	for _, m := range order {
-		st.bufs.putPtrs(groups[m])
-	}
-	if firstErr != nil {
-		return nil, 0, firstErr
-	}
-	return merged, accepted, nil
 }
 
 // seedBatch applies the host level's residual filters to this owner's
 // slice of the root frontier, marks survivors visited at distance 0, and
 // enumerates their first-hop candidates.
-func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core.VertexPtr) (*levelOutput, int, error) {
+func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core.VertexPtr) (*levelOutput, error) {
 	st := rr.st
 	e := st.engine
 	g := st.graph
@@ -287,7 +207,6 @@ func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core
 	needData := host.Type != "" || len(host.Preds) > 0
 	const readChunk = 256
 	var vtxs []*core.Vertex
-	accepted := 0
 	for i, vp := range work {
 		if needData {
 			if i%readChunk == 0 {
@@ -295,7 +214,7 @@ func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core
 				var err error
 				vtxs, err = g.ReadVertices(tx, work[i:end])
 				if err != nil {
-					return nil, 0, err
+					return nil, err
 				}
 			}
 			v := vtxs[i%readChunk]
@@ -309,7 +228,7 @@ func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core
 			}
 			schema, err := g.VertexTypeSchema(sc, v.TypeName)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			if len(host.Preds) > 0 {
 				sc.Work(time.Duration(len(host.Preds)) * e.cfg.CostPredEval)
@@ -322,7 +241,7 @@ func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core
 			//lint:ignore a1/batchreads machine-local batch: seedBatch runs owner-side on a PrimaryOf-partitioned batch; match-subtree reads below this helper stay on the owner
 			ok, err := st.evalMatches(sc, tx, vp, host.Matches)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			if !ok {
 				continue
@@ -332,16 +251,16 @@ func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core
 			continue
 		}
 		visited[vp.Addr] = true
-		accepted++
+		out.accepted++
 		//lint:ignore a1/batchreads machine-local batch: seedBatch runs owner-side on a PrimaryOf-partitioned batch; half-edge enumeration below this helper reads owner-resident objects
 		next, err := st.traverseEdge(sc, tx, vp, rr.rp.Edge)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		out.next = append(out.next, next...)
 		st.bufs.putPtrs(next)
 	}
-	return out, accepted, nil
+	return out, nil
 }
 
 // expandBatch runs iteration k for this owner's slice of the candidate
@@ -349,7 +268,7 @@ func (rr *recurseRun) seedBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core
 // the survivors, emit those inside the depth window that pass the
 // terminal's output filters, and enumerate the next hop's candidates
 // while the depth bound allows.
-func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core.VertexPtr, k int) (*levelOutput, int, error) {
+func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []core.VertexPtr, k int) (*levelOutput, error) {
 	st := rr.st
 	e := st.engine
 	g := st.graph
@@ -395,7 +314,7 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 				var err error
 				vtxs, err = g.ReadVertices(tx, work[i:end])
 				if err != nil {
-					return nil, 0, err
+					return nil, err
 				}
 			}
 			v := vtxs[i%readChunk]
@@ -416,7 +335,7 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 			if rowOK {
 				s, err := g.VertexTypeSchema(sc, vtx.TypeName)
 				if err != nil {
-					return nil, 0, err
+					return nil, err
 				}
 				schema = s
 				if len(term.Preds) > 0 {
@@ -452,7 +371,7 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 			//lint:ignore a1/batchreads machine-local batch: expandBatch runs owner-side on a PrimaryOf-partitioned batch; half-edge enumeration below this helper reads owner-resident objects
 			next, err := st.traverseEdge(sc, tx, vp, rp.Edge)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			out.next = append(out.next, next...)
 			st.bufs.putPtrs(next)
@@ -461,7 +380,8 @@ func (rr *recurseRun) expandBatch(sc *fabric.Ctx, m fabric.MachineID, batch []co
 	if st.keep > 0 && len(out.rows) > st.keep {
 		out.rows = topK(st.bufs, out.rows, term.Orders, st.keep)
 	}
-	return out, len(work), nil
+	out.accepted = len(work)
+	return out, nil
 }
 
 // visitedFor hands a batch its owner's visited set, creating it lazily.
